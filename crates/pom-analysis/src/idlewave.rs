@@ -160,7 +160,7 @@ pub fn sim_wave_arrivals(
 /// Threshold semantics are **inclusive**: a sample with
 /// `delta >= threshold` counts as crossed. The reported time is the
 /// *interpolated* crossing time, not the sample time: with a recording
-/// stride (`record_every > 1`, coarse `samples`) the first offending
+/// stride (decimated recording, coarse `samples`) the first offending
 /// sample can postdate the true crossing by up to a whole stride, which
 /// systematically biased fitted wave speeds low; linear interpolation of
 /// `delta` between the bracketing samples removes the stride quantization

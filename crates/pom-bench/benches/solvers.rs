@@ -1,12 +1,11 @@
 //! Criterion bench: integrator cost on the oscillator model — adaptive
 //! Dopri5 vs fixed-step RK4 at matched spans, across system sizes
 //! (DESIGN.md §8 ablation "adaptive vs fixed-step at matched accuracy") —
-//! plus the raw RK4 hot loop, legacy (per-step allocation + dyn dispatch)
-//! vs the workspace fast path. `bench_steps` (a `pom-bench` binary) emits
-//! the same comparison as JSON for the `BENCH_*.json` records.
+//! plus the raw RK4 hot loop on the workspace fast path. `bench_steps`
+//! (a `pom-bench` binary) emits the same numbers as JSON for the
+//! `BENCH_*.json` records.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use pom_bench::rk4_step_legacy;
 use pom_core::{
     InitialCondition, Normalization, PomBuilder, Potential, SimOptions, SimWorkspace, SolverChoice,
 };
@@ -48,17 +47,6 @@ fn bench_solvers(c: &mut Criterion) {
                     )
                     .unwrap();
                 black_box(run.final_order_parameter())
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("bs23", n), &n, |b, _| {
-            let y0 = init.phases(n);
-            b.iter(|| {
-                let (traj, _) = pom_ode::Bs23::new()
-                    .rtol(1e-6)
-                    .atol(1e-8)
-                    .integrate(&model, 0.0, &y0, 10.0)
-                    .unwrap();
-                black_box(traj.last().unwrap()[0])
             })
         });
         group.bench_with_input(BenchmarkId::new("rk4_h0.02", n), &n, |b, _| {
@@ -113,19 +101,6 @@ fn bench_rk4_hot_loop(c: &mut Criterion) {
         let y0: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.01).collect();
         let h = 0.02;
 
-        group.bench_with_input(BenchmarkId::new("legacy_alloc_dyn", n), &n, |b, _| {
-            b.iter(|| {
-                let mut y = y0.clone();
-                let mut y_next = vec![0.0; n];
-                let mut t = 0.0;
-                for _ in 0..STEPS {
-                    rk4_step_legacy(&sys, t, &y, h, &mut y_next);
-                    std::mem::swap(&mut y, &mut y_next);
-                    t += h;
-                }
-                black_box(y[0])
-            })
-        });
         group.bench_with_input(BenchmarkId::new("workspace_mono", n), &n, |b, _| {
             let mut ws = Workspace::new();
             b.iter(|| {

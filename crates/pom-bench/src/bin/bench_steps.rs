@@ -1,14 +1,10 @@
-//! Steps/sec and campaign points/sec: pre-PR baseline vs the
-//! allocation-free workspace core and the RHS kernel layer, emitted as
-//! JSON.
+//! Steps/sec and campaign points/sec of the allocation-free workspace
+//! core and the RHS kernel layer, emitted as JSON.
 //!
-//! The "legacy" columns re-measure the exact pre-refactor hot path — a
-//! faithful replica of the old `Rk4::step` (five `vec![0.0; n]`
-//! allocations per step) driven through `&dyn OdeSystem` — so baseline
-//! and current numbers come from one binary on one machine, instead of
-//! comparing numbers recorded on different days. The `rhs_kernels`
-//! section compares the `Exact` reference kernel against the
-//! `SinCosSplit` fast path, serial and with intra-run parallelism.
+//! The `rhs_kernels` section compares the `Exact` reference kernel
+//! against the `SinCosSplit` fast path, serial and with intra-run
+//! parallelism. (The per-step-allocation RK4 baseline the workspace core
+//! replaced is recorded in `BENCH_rk4_workspace.json`.)
 //!
 //! ```bash
 //! cargo run --release -p pom-bench --bin bench_steps > BENCH_steps.json
@@ -23,7 +19,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use pom_analysis::RunSummaryProbe;
-use pom_bench::rk4_step_legacy;
 use pom_core::{
     InitialCondition, Normalization, PomBuilder, Potential, RhsKernel, SimOptions, SimWorkspace,
     SolverChoice,
@@ -117,72 +112,6 @@ fn build_model_kernel(n: usize, kernel: RhsKernel, rhs_threads: usize) -> pom_co
         .unwrap()
 }
 
-/// Faithful replica of the pre-PR `Pom::rhs_ode`: the coupling prefactor
-/// (`v_p/deg(i)`, one match + division) and the intrinsic term (one
-/// division) re-derived per oscillator per evaluation, and the potential
-/// evaluated through `Potential::value` (enum match + the desync
-/// wavenumber division per neighbor call).
-struct LegacyRhs<'a> {
-    model: &'a pom_core::Pom,
-}
-
-impl OdeSystem for LegacyRhs<'_> {
-    fn dim(&self) -> usize {
-        self.model.n()
-    }
-
-    fn eval(&self, _t: f64, theta: &[f64], dtheta: &mut [f64]) {
-        let m = self.model;
-        let vp = m.params().coupling();
-        let cycle = m.params().cycle_time();
-        for i in 0..m.n() {
-            let mut coupling = 0.0;
-            for &j in m.topology().neighbors(i) {
-                coupling += m.potential().value(theta[j as usize] - theta[i]);
-            }
-            let scale = vp / m.topology().degree(i).max(1) as f64;
-            dtheta[i] = std::f64::consts::TAU / cycle + scale * coupling;
-        }
-    }
-}
-
-/// Integrate `steps` RK4 steps with the legacy per-step-allocating path.
-fn run_legacy(model: &pom_core::Pom, y0: &[f64], h: f64, steps: usize) -> f64 {
-    let legacy = LegacyRhs { model };
-    let sys: &dyn OdeSystem = &legacy;
-    let mut y = y0.to_vec();
-    let mut y_next = vec![0.0; y0.len()];
-    let mut t = 0.0;
-    for _ in 0..steps {
-        rk4_step_legacy(sys, t, &y, h, &mut y_next);
-        std::mem::swap(&mut y, &mut y_next);
-        t += h;
-    }
-    y[0]
-}
-
-/// Integrate `steps` RK4 steps with the workspace fast path (same driver
-/// shape as `FixedStepSolver::integrate_with`, no recording).
-fn run_workspace(
-    model: &pom_core::Pom,
-    y0: &[f64],
-    h: f64,
-    steps: usize,
-    ws: &mut Workspace,
-) -> f64 {
-    use pom_ode::Stepper;
-    let (stage, drive) = ws.split();
-    let [mut y, mut y_next] = drive.slices::<2>(y0.len());
-    y.copy_from_slice(y0);
-    let mut t = 0.0;
-    for _ in 0..steps {
-        Rk4.step(model, t, y, h, y_next, stage);
-        std::mem::swap(&mut y, &mut y_next);
-        t += h;
-    }
-    y[0]
-}
-
 /// Like [`run_workspace`] but returning the full final state — the
 /// correctness gates must compare every component, not a single
 /// oscillator: on a ±1 ring a defect near a parallel chunk boundary takes
@@ -242,23 +171,9 @@ const CAMPAIGN_SPEC: &str = r#"
     values = [2.0, 4.0, 6.0]
 "#;
 
-/// Legacy hot loop on an arbitrary dyn system (old stepper: five heap
-/// allocations per step, vtable RHS dispatch).
-fn loop_legacy(sys: &dyn OdeSystem, y0: &[f64], h: f64, steps: usize) -> f64 {
-    let mut y = y0.to_vec();
-    let mut y_next = vec![0.0; y0.len()];
-    let mut t = 0.0;
-    for _ in 0..steps {
-        rk4_step_legacy(sys, t, &y, h, &mut y_next);
-        std::mem::swap(&mut y, &mut y_next);
-        t += h;
-    }
-    y[0]
-}
-
-/// Workspace hot loop on a monomorphized system (new stepper: zero
-/// allocations, direct RHS calls).
-fn loop_workspace<S: OdeSystem>(
+/// Integrate `steps` RK4 steps with the workspace fast path (zero
+/// allocations, monomorphized RHS calls, no recording); returns `y[0]`.
+fn run_workspace<S: OdeSystem>(
     sys: &S,
     y0: &[f64],
     h: f64,
@@ -324,11 +239,9 @@ fn main() {
     println!("  \"smoke\": {smoke},");
     println!("  \"units\": {{\"steps_per_sec\": \"RK4 steps/s\", \"points_per_sec\": \"campaign points/s (1 worker)\"}},");
     println!("  \"notes\": [");
-    println!("    \"legacy = pre-PR hot path replicated in this binary: vec![0.0; n] x5 per step + &dyn OdeSystem dispatch + per-oscillator rederivation of static RHS factors\",");
-    println!("    \"workspace = current path: reused Workspace slices, monomorphized RHS, build-time coupling cache, fused intrinsic+coupling row pass\",");
-    println!("    \"rk4_hot_loop isolates the stepper machinery with a cheap norm-preserving RHS; rk4_pom_model is end-to-end on the oscillator RHS, whose per-neighbor sin() bounds the attainable gain\",");
+    println!("    \"workspace = reused Workspace slices, monomorphized RHS, build-time coupling cache, fused intrinsic+coupling row pass; the per-step-allocation baseline it replaced is recorded in BENCH_rk4_workspace.json\",");
+    println!("    \"rk4_hot_loop isolates the stepper machinery with a cheap norm-preserving RHS; rk4_pom_model is end-to-end on the oscillator RHS\",");
     println!("    \"campaign compares fresh vs reused workspace per point, interleaving the two measurements rep-by-rep so clock drift cannot bias either column (the historical 0.961x 'reuse regression' was exactly this bias: fresh was always timed first, reused second)\",");
-    println!("    \"the historical n=256 rk4_pom_model 0.958x came from the fill-then-accumulate double pass over dtheta; the fused single row pass restores parity — residual deltas of a few percent at these sizes are run-to-run noise on a shared host, not a reuse or cache effect\",");
     println!("    \"rhs_kernels: same model family at large N; exact = libm reference (bitwise-stable), sincos = sin/cos-split kernel, parallel = split + rhs_threads=0 (all cores); when the host exposes 1 CPU the parallel column degenerates to the serial split path\"");
     println!("  ],");
 
@@ -337,9 +250,7 @@ fn main() {
     // keeps the right-hand side at a handful of instructions *and* the
     // state norm constant (a decaying RHS would underflow into denormals
     // over 10⁵ steps and poison the timing). This measures the stepper
-    // machinery the refactor targeted: five heap allocations + memsets +
-    // vtable dispatch per step (legacy) vs reused workspace slices +
-    // monomorphized calls (current).
+    // machinery: reused workspace slices + monomorphized calls.
     println!("  \"rk4_hot_loop\": [");
     let sizes = [16usize, 64, 256];
     for (idx, &n) in sizes.iter().enumerate() {
@@ -353,26 +264,17 @@ fn main() {
         });
         let y0: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.01).collect();
         let mut ws = Workspace::new();
-        let a = loop_legacy(&lin, &y0, h, 1000);
-        let b = loop_workspace(&lin, &y0, h, 1000, &mut ws);
-        assert_eq!(a.to_bits(), b.to_bits(), "paths diverged at n = {n}");
-
-        let t_legacy = time_best(reps, || loop_legacy(&lin, &y0, h, steps));
-        let t_ws = time_best(reps, || loop_workspace(&lin, &y0, h, steps, &mut ws));
-        let legacy_sps = steps as f64 / t_legacy;
+        let t_ws = time_best(reps, || run_workspace(&lin, &y0, h, steps, &mut ws));
         let ws_sps = steps as f64 / t_ws;
         let comma = if idx + 1 == sizes.len() { "" } else { "," };
-        println!(
-            "    {{\"n\": {n}, \"legacy_steps_per_sec\": {legacy_sps:.0}, \"workspace_steps_per_sec\": {ws_sps:.0}, \"speedup\": {:.3}}}{comma}",
-            ws_sps / legacy_sps
-        );
+        println!("    {{\"n\": {n}, \"workspace_steps_per_sec\": {ws_sps:.0}}}{comma}");
     }
     println!("  ],");
 
     // --- End-to-end on the oscillator model ------------------------------
-    // Same loops driving the POM right-hand side (ring, desync potential).
-    // Here the RHS cost (one sin per neighbor per stage) bounds the gain —
-    // reported for honest context, not as the hot-loop headline.
+    // The same loop driving the POM right-hand side (ring, desync
+    // potential), where the RHS cost (one sin per neighbor per stage)
+    // dominates.
     println!("  \"rk4_pom_model\": [");
     for (idx, &n) in sizes.iter().enumerate() {
         let model = build_model(n);
@@ -381,22 +283,11 @@ fn main() {
             seed: 1,
         }
         .phases(n);
-
-        // Warm up and verify both paths agree bitwise before timing.
         let mut ws = Workspace::new();
-        let a = run_legacy(&model, &y0, h, 1000);
-        let b = run_workspace(&model, &y0, h, 1000, &mut ws);
-        assert_eq!(a.to_bits(), b.to_bits(), "paths diverged at n = {n}");
-
-        let t_legacy = time_best(reps, || run_legacy(&model, &y0, h, steps));
         let t_ws = time_best(reps, || run_workspace(&model, &y0, h, steps, &mut ws));
-        let legacy_sps = steps as f64 / t_legacy;
         let ws_sps = steps as f64 / t_ws;
         let comma = if idx + 1 == sizes.len() { "" } else { "," };
-        println!(
-            "    {{\"n\": {n}, \"legacy_steps_per_sec\": {legacy_sps:.0}, \"workspace_steps_per_sec\": {ws_sps:.0}, \"speedup\": {:.3}}}{comma}",
-            ws_sps / legacy_sps
-        );
+        println!("    {{\"n\": {n}, \"workspace_steps_per_sec\": {ws_sps:.0}}}{comma}");
     }
     println!("  ],");
 
@@ -858,9 +749,10 @@ fn time_pair(reps: usize, mut base: impl FnMut(), mut cand: impl FnMut()) -> (f6
 
 /// The ≤2%-disabled-overhead contract (pom-obs crate docs), measured:
 ///
-/// * RK4: the current `FixedStepSolver::integrate_with` (obs disabled)
-///   vs [`pom_bench::integrate_fixed_rk4_pre_obs`] — the pre-obs driver
-///   replicated without the instrumentation sites.
+/// * RK4: the solver's one step loop, `FixedStepSolver::integrate_observed`
+///   with a `NoObserver` (obs disabled), vs
+///   [`pom_bench::integrate_fixed_rk4_pre_obs`] — that loop replicated
+///   without the instrumentation sites.
 /// * sweep: the current `run_campaign` (obs disabled) vs
 ///   [`pom_bench::run_campaign_pre_obs`], same replica treatment.
 ///
@@ -871,7 +763,7 @@ fn time_pair(reps: usize, mut base: impl FnMut(), mut cand: impl FnMut()) -> (f6
 /// iteration counts measure mostly fixed costs).
 fn obs_overhead_bench(smoke: bool, standalone: bool) {
     use pom_bench::{integrate_fixed_rk4_pre_obs, run_campaign_pre_obs};
-    use pom_ode::FixedStepSolver;
+    use pom_ode::{FixedStepSolver, NoObserver};
     use pom_sweep::run_campaign;
 
     // The gate measures the DISABLED path; enabled-mode numbers are
@@ -882,8 +774,7 @@ fn obs_overhead_bench(smoke: bool, standalone: bool) {
     let reps = if smoke { 2 } else { 5 };
     let attempts_max = 3;
 
-    // RK4 gate: mid-size model, trajectory decimated ×8 as a sweep-like
-    // workload would.
+    // RK4 gate: mid-size model, the bare step loop.
     let n = 64;
     let h = 0.02;
     let rk4_steps = if smoke { 300 } else { 30_000 };
@@ -894,25 +785,24 @@ fn obs_overhead_bench(smoke: bool, standalone: bool) {
         seed: 1,
     }
     .phases(n);
-    let solver = FixedStepSolver::new(Rk4, h).unwrap().record_every(8);
+    let solver = FixedStepSolver::new(Rk4, h).unwrap();
     // One workspace per path: the timed closures hold their borrows
     // simultaneously.
     let mut ws_pre = Workspace::new();
     let mut ws_cur = Workspace::new();
-
-    // Both drivers must agree bitwise before either is timed.
-    let a = integrate_fixed_rk4_pre_obs(&model, 0.0, &y0, t_end, h, 8, &mut ws_pre);
-    let b = solver
-        .integrate_with(&model, 0.0, &y0, t_end, &mut ws_cur)
-        .unwrap();
-    assert_eq!(a.len(), b.len(), "record cadence diverged");
-    assert!(
-        a.last()
+    let run_cur = |ws: &mut Workspace| {
+        solver
+            .integrate_observed(&model, 0.0, &y0, t_end, ws, &mut NoObserver)
             .unwrap()
-            .iter()
-            .zip(b.last().unwrap())
-            .all(|(x, y)| x.to_bits() == y.to_bits()),
-        "instrumented RK4 driver diverged from the pre-obs replica"
+            .y_end
+    };
+
+    // Both loops must agree bitwise before either is timed.
+    let a = integrate_fixed_rk4_pre_obs(&model, 0.0, &y0, t_end, h, &mut ws_pre);
+    let b = run_cur(&mut ws_cur);
+    assert!(
+        a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()),
+        "instrumented RK4 loop diverged from the pre-obs replica"
     );
 
     let mut rk4_ratio = 0.0f64;
@@ -930,16 +820,11 @@ fn obs_overhead_bench(smoke: bool, standalone: bool) {
                     &y0,
                     t_end,
                     h,
-                    8,
                     &mut ws_pre,
                 ));
             },
             || {
-                black_box(
-                    solver
-                        .integrate_with(&model, 0.0, &y0, t_end, &mut ws_cur)
-                        .unwrap(),
-                );
+                black_box(run_cur(&mut ws_cur));
             },
         );
         let (pre, cur) = (rk4_steps as f64 / t_pre, rk4_steps as f64 / t_cur);
@@ -950,12 +835,7 @@ fn obs_overhead_bench(smoke: bool, standalone: bool) {
 
     // Enabled-mode context number (not gated).
     pom_obs::set_enabled(true);
-    let t_on = time_best(reps, || {
-        solver
-            .integrate_with(&model, 0.0, &y0, t_end, &mut ws_cur)
-            .unwrap();
-        0.0
-    });
+    let t_on = time_best(reps, || run_cur(&mut ws_cur)[0]);
     pom_obs::set_enabled(false);
     let rk4_on_sps = rk4_steps as f64 / t_on;
 

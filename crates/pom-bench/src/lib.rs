@@ -15,70 +15,29 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use pom_core::SimWorkspace;
-use pom_ode::{OdeSystem, Rk4, Stepper, Trajectory, Workspace};
+use pom_ode::{OdeSystem, Rk4, Stepper, Workspace};
 use pom_sweep::{
     run_point_ws, CampaignSpec, CampaignSummary, PointRow, ResultSink, RunOptions, SweepError,
 };
 
-/// Faithful replica of the pre-workspace `Rk4::step`: five heap
-/// allocations per step, right-hand side reached through a vtable.
-///
-/// This is the load-bearing baseline for the hot-loop speedup numbers —
-/// `benches/solvers.rs` and the `bench_steps` binary both measure against
-/// this one copy, so the criterion comparison and the recorded
-/// `BENCH_*.json` always benchmark the same code.
-pub fn rk4_step_legacy(sys: &dyn OdeSystem, t: f64, y: &[f64], h: f64, y_out: &mut [f64]) {
-    let n = y.len();
-    let mut k1 = vec![0.0; n];
-    let mut k2 = vec![0.0; n];
-    let mut k3 = vec![0.0; n];
-    let mut k4 = vec![0.0; n];
-    let mut ytmp = vec![0.0; n];
-    sys.eval(t, y, &mut k1);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k1[i];
-    }
-    sys.eval(t + 0.5 * h, &ytmp, &mut k2);
-    for i in 0..n {
-        ytmp[i] = y[i] + 0.5 * h * k2[i];
-    }
-    sys.eval(t + 0.5 * h, &ytmp, &mut k3);
-    for i in 0..n {
-        ytmp[i] = y[i] + h * k3[i];
-    }
-    sys.eval(t + h, &ytmp, &mut k4);
-    for i in 0..n {
-        y_out[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-    }
-}
-
-/// Faithful replica of the pre-observability
-/// `FixedStepSolver::integrate_with` driver: same index-recomputed step
-/// targets, same record cadence, same non-finite scan at record points —
-/// but no RHS-evaluation accounting and no metric flush. The
-/// `obs_overhead` gate in `bench_steps` times this against the current
-/// (instrumented, obs-disabled) path to bound the disabled-mode cost.
-///
-/// The one unavoidable divergence: the replica records through the
-/// public `Trajectory::push` (two branch checks per recorded sample)
-/// where the solver uses the crate-private unchecked variant — a bias
-/// *against* the instrumented path, so the gate stays conservative.
+/// Faithful replica of the `FixedStepSolver::integrate_observed` step loop
+/// with a [`pom_ode::NoObserver`] attached, minus the instrumentation:
+/// same index-recomputed step targets, same per-step non-finite scan —
+/// but no RHS-evaluation accounting and no metric flush. Returns the
+/// final state. The `obs_overhead` gate in `bench_steps` times this
+/// against the current (instrumented, obs-disabled) loop to bound the
+/// disabled-mode cost.
 pub fn integrate_fixed_rk4_pre_obs<Sys: OdeSystem + ?Sized>(
     sys: &Sys,
     t0: f64,
     y0: &[f64],
     t_end: f64,
     h: f64,
-    record_every: usize,
     ws: &mut Workspace,
-) -> Trajectory {
+) -> Vec<f64> {
     let n = sys.dim();
     let span = t_end - t0;
     let n_steps = (span / h).ceil().max(1.0) as usize;
-    let record_every = record_every.max(1);
-
-    let mut traj = Trajectory::with_capacity(n, n_steps / record_every + 2);
-    traj.push(t0, y0).expect("first sample");
 
     let (stage, drive) = ws.split();
     let [mut y, mut y_next] = drive.slices::<2>(n);
@@ -95,12 +54,9 @@ pub fn integrate_fixed_rk4_pre_obs<Sys: OdeSystem + ?Sized>(
         Rk4.step(sys, t, y, h_step, y_next, stage);
         std::mem::swap(&mut y, &mut y_next);
         t = t_target;
-        if step_idx % record_every == 0 || step_idx == n_steps {
-            assert!(y.iter().all(|v| v.is_finite()), "non-finite state");
-            traj.push(t, y).expect("sample");
-        }
+        assert!(y.iter().all(|v| v.is_finite()), "non-finite state");
     }
-    traj
+    y.to_vec()
 }
 
 /// Faithful replica of the pre-observability `run_campaign`: identical

@@ -2,7 +2,10 @@
 //! observables on the result.
 
 use pom_ode::dde::{DdeRk4, InitialHistory};
-use pom_ode::{Dopri5, FixedStepSolver, OdeError, Rk4, StepObserver, Trajectory, Workspace};
+use pom_ode::{
+    Dopri5, FixedStepSolver, ObserveEvery, OdeError, Record, Rk4, StepObserver, Trajectory,
+    Workspace,
+};
 
 use crate::initial::InitialCondition;
 use crate::model::Pom;
@@ -32,9 +35,9 @@ fn count_simulation() {
 /// Wraps the integrator [`Workspace`] so one allocation pool serves every
 /// solver path ([`SolverChoice::Dopri5`], [`SolverChoice::FixedRk4`], the
 /// DDE driver). Hold one per worker thread and pass it to
-/// [`Pom::simulate_with_ws`] / [`Pom::simulate_many`]; reuse never changes
-/// results (trajectories are bitwise identical to the fresh-workspace
-/// path).
+/// [`Pom::simulate_with_ws`] / [`Pom::simulate_observed_ws`]; reuse never
+/// changes results (trajectories are bitwise identical to the
+/// fresh-workspace path).
 #[derive(Debug, Clone, Default)]
 pub struct SimWorkspace {
     ode: Workspace,
@@ -285,69 +288,46 @@ impl Pom {
         self.simulate_with_ws(init, opts, &mut SimWorkspace::new())
     }
 
-    /// Integrate an ensemble of initial conditions under the same options,
-    /// sharing one workspace across all members — the batched entry point
-    /// the sweep engine builds on. Results are identical to sequential
-    /// [`Pom::simulate_with`] calls; the first error aborts the batch.
-    pub fn simulate_many(
-        &self,
-        inits: &[InitialCondition],
-        opts: &SimOptions,
-    ) -> Result<Vec<PomRun>, OdeError> {
-        let mut ws = SimWorkspace::new();
-        inits
-            .iter()
-            .map(|init| self.simulate_with_ws(init.clone(), opts, &mut ws))
-            .collect()
-    }
-
     /// Integrate with explicit [`SimOptions`] and caller-provided scratch
     /// memory — the allocation-lean fast path (monomorphized right-hand
     /// side, zero allocation inside the step loop).
+    ///
+    /// Dopri5 runs are resampled from the dense solution onto
+    /// `opts.n_samples` uniform points. Fixed-step and delay runs are
+    /// [`Pom::simulate_observed_ws`] with a decimating recorder attached:
+    /// every `k`-th step plus the final one, `k = ⌊steps / n_samples⌋`
+    /// (at least 1). Delay runs keep only the pruned history window.
     pub fn simulate_with_ws(
         &self,
         init: InitialCondition,
         opts: &SimOptions,
         ws: &mut SimWorkspace,
     ) -> Result<PomRun, OdeError> {
-        let y0 = init.phases(self.n());
-        let omega = self.omega();
-        let (solver, h_cap) = self.resolve_solver(opts);
-
-        let trajectory = match solver {
-            SolverChoice::Dopri5 { rtol, atol } => {
+        let trajectory = match self.resolve_solver(opts) {
+            (SolverChoice::Dopri5 { rtol, atol }, h_cap) => {
                 let mut solver = Dopri5::new().rtol(rtol).atol(atol);
                 if let Some(h) = h_cap {
                     solver = solver.h_max(h);
                 }
+                let y0 = init.phases(self.n());
                 let (sol, _) = solver.integrate_with(self, 0.0, &y0, opts.t_end, ws.ode())?;
-                sol.resample(opts.n_samples)?
+                let trajectory = sol.resample(opts.n_samples)?;
+                count_simulation();
+                trajectory
             }
-            SolverChoice::FixedRk4 { h } => {
-                if self.has_delays() {
-                    let n_steps = (opts.t_end / h).ceil() as usize;
-                    let every = (n_steps / opts.n_samples).max(1);
-                    let (traj, _) = DdeRk4::new(h)?.record_every(every).integrate_with(
-                        self,
-                        0.0,
-                        InitialHistory::Constant(y0),
-                        opts.t_end,
-                        ws.ode(),
-                    )?;
-                    traj
-                } else {
-                    let n_steps = (opts.t_end / h).ceil() as usize;
-                    let every = (n_steps / opts.n_samples).max(1);
-                    FixedStepSolver::new(Rk4, h)?
-                        .record_every(every)
-                        .integrate_with(self, 0.0, &y0, opts.t_end, ws.ode())?
-                }
+            (SolverChoice::FixedRk4 { h }, _) => {
+                let n_steps = (opts.t_end / h).ceil() as usize;
+                let every = (n_steps / opts.n_samples).max(1);
+                let mut rec = ObserveEvery::new(Record::with_capacity(n_steps / every + 2), every);
+                self.simulate_observed_ws(init, opts, &mut rec, ws)?;
+                rec.into_inner().into_trajectory()
             }
-            SolverChoice::Auto => unreachable!("resolved above"),
+            (SolverChoice::Auto, _) => unreachable!("resolved above"),
         };
-
-        count_simulation();
-        Ok(PomRun { omega, trajectory })
+        Ok(PomRun {
+            omega: self.omega(),
+            trajectory,
+        })
     }
 
     /// Resolve [`SolverChoice::Auto`] and the local-noise step cap shared
@@ -393,8 +373,8 @@ impl Pom {
     /// [`Pom::simulate_with`] (same [`SolverChoice`] resolution, same
     /// local-noise step cap): the integration takes the identical step
     /// sequence and the returned final state is the integrator's raw
-    /// `y(t_end)` — bitwise identical to the fixed-step/DDE recording
-    /// paths' last sample and to the Dopri5 path's
+    /// `y(t_end)` — the fixed-step/DDE recording paths run through this
+    /// driver, and the state is bitwise identical to the Dopri5 path's
     /// [`pom_ode::DenseSolution::y_end`] (proptested). Note that a
     /// *resampled* Dopri5 trajectory's last sample (what
     /// [`PomRun::trajectory`] holds) evaluates the dense interpolant at

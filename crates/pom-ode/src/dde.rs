@@ -17,7 +17,7 @@
 //!   ODE — covered by a regression test).
 
 use crate::error::OdeError;
-use crate::observe::{ObservedSummary, StepObserver};
+use crate::observe::{ObservedSummary, Record, StepObserver};
 use crate::trajectory::Trajectory;
 use crate::workspace::Workspace;
 
@@ -308,7 +308,6 @@ impl PhaseHistory for HistoryBuffer {
 #[derive(Debug, Clone)]
 pub struct DdeRk4 {
     h: f64,
-    record_every: usize,
 }
 
 impl DdeRk4 {
@@ -320,13 +319,7 @@ impl DdeRk4 {
                 value: h,
             });
         }
-        Ok(Self { h, record_every: 1 })
-    }
-
-    /// Record only every `k`-th step (the final state is always recorded).
-    pub fn record_every(mut self, k: usize) -> Self {
-        self.record_every = k.max(1);
-        self
+        Ok(Self { h })
     }
 
     /// Integrate from `t0` to `t_end`.
@@ -348,13 +341,10 @@ impl DdeRk4 {
         self.integrate_with(sys, t0, initial, t_end, &mut Workspace::new())
     }
 
-    /// Integrate with caller-provided scratch memory and a monomorphized
-    /// right-hand side.
-    ///
-    /// The stage buffers come from the workspace and the history buffer /
-    /// trajectory reserve their full capacity up front, so the step loop
-    /// performs no allocation beyond the returned solution data. Bitwise
-    /// identical to [`DdeRk4::integrate`] regardless of workspace reuse.
+    /// Integrate with caller-provided scratch memory, recording every step
+    /// and keeping the full history: the step loop of
+    /// [`DdeRk4::integrate_observed`] with a [`Record`] attached and no
+    /// pruning. Bitwise independent of workspace reuse.
     pub fn integrate_with<S: DdeSystem + ?Sized>(
         &self,
         sys: &S,
@@ -363,12 +353,70 @@ impl DdeRk4 {
         t_end: f64,
         ws: &mut Workspace,
     ) -> Result<(Trajectory, HistoryBuffer), OdeError> {
+        let samples = self.n_steps(t_end - t0).saturating_add(1);
+        let mut rec = Record::with_capacity(samples);
+        let (_, buffer) = self.run(sys, t0, initial, t_end, None, ws, &mut rec)?;
+        Ok((rec.into_trajectory(), buffer))
+    }
+
+    /// Integrate without recording a trajectory and with the history
+    /// buffer pruned to a sliding window, streaming every step to `obs` —
+    /// the O(N · window/h)-memory fast path for long-horizon delay runs.
+    ///
+    /// `history_window` must be at least the largest delay the system
+    /// ever looks back (`τ_max`); lookups reach `t − τ_max` while the
+    /// buffer retains `[t − history_window, t]` (plus one bracketing
+    /// knot). Too small a window is caught by a debug assertion and
+    /// silently clamps to the oldest retained knot in release builds.
+    /// Pruning only drops knots, so whenever the window covers every
+    /// lookup the states are bitwise identical to the full-history
+    /// [`DdeRk4::integrate_with`] (asserted by the property suite).
+    #[allow(clippy::too_many_arguments)]
+    pub fn integrate_observed<S: DdeSystem + ?Sized, O: StepObserver>(
+        &self,
+        sys: &S,
+        t0: f64,
+        initial: InitialHistory,
+        t_end: f64,
+        history_window: f64,
+        ws: &mut Workspace,
+        obs: &mut O,
+    ) -> Result<ObservedSummary, OdeError> {
+        let (summary, _) = self.run(sys, t0, initial, t_end, Some(history_window), ws, obs)?;
+        Ok(summary)
+    }
+
+    /// Number of steps the driver takes over `span`.
+    fn n_steps(&self, span: f64) -> usize {
+        (span / self.h).ceil().max(1.0) as usize
+    }
+
+    /// The step loop. `history_window: None` keeps the full history.
+    #[allow(clippy::too_many_arguments)]
+    fn run<S: DdeSystem + ?Sized, O: StepObserver>(
+        &self,
+        sys: &S,
+        t0: f64,
+        initial: InitialHistory,
+        t_end: f64,
+        history_window: Option<f64>,
+        ws: &mut Workspace,
+        obs: &mut O,
+    ) -> Result<(ObservedSummary, HistoryBuffer), OdeError> {
         let n = sys.dim();
         if let Some(d) = initial.dim() {
             if d != n {
                 return Err(OdeError::DimensionMismatch {
                     expected: n,
                     got: d,
+                });
+            }
+        }
+        if let Some(w) = history_window {
+            if !(w.is_finite() && w >= 0.0) {
+                return Err(OdeError::InvalidParameter {
+                    name: "history_window",
+                    value: w,
                 });
             }
         }
@@ -379,7 +427,7 @@ impl DdeRk4 {
         }
 
         let span = t_end - t0;
-        let n_steps = (span / self.h).ceil().max(1.0) as usize;
+        let n_steps = self.n_steps(span);
 
         let (stage, drive) = ws.split();
         let [k2, k3, k4, ytmp] = stage.slices::<4>(n);
@@ -397,129 +445,17 @@ impl DdeRk4 {
         };
         sys.eval(t0, y, &boot, k1);
         check_finite(t0, k1)?;
-
-        let mut buffer = HistoryBuffer::new(t0, y, k1, initial);
-        buffer.reserve(n_steps);
-
-        let mut traj = Trajectory::with_capacity(n, n_steps / self.record_every + 2);
-        traj.push(t0, y)?;
-
-        let mut t = t0;
-
-        for step_idx in 1..=n_steps {
-            let t_target = if step_idx == n_steps {
-                t_end
-            } else {
-                t0 + span * (step_idx as f64 / n_steps as f64)
-            };
-            let h = t_target - t;
-
-            // k1 = f(t, y) is carried over from the previous step's f_new
-            // (both evaluate the RHS at the newest knot).
-            for i in 0..n {
-                ytmp[i] = y[i] + 0.5 * h * k1[i];
-            }
-            sys.eval(t + 0.5 * h, ytmp, &buffer, k2);
-            for i in 0..n {
-                ytmp[i] = y[i] + 0.5 * h * k2[i];
-            }
-            sys.eval(t + 0.5 * h, ytmp, &buffer, k3);
-            for i in 0..n {
-                ytmp[i] = y[i] + h * k3[i];
-            }
-            sys.eval(t + h, ytmp, &buffer, k4);
-            for i in 0..n {
-                y_new[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
-            check_finite(t, y_new)?;
-
-            t = t_target;
-            // Knot derivative for the Hermite interpolant.
-            sys.eval(t, y_new, &buffer, f_new);
-            check_finite(t, f_new)?;
-            buffer.push(t, y_new, f_new);
-
-            std::mem::swap(&mut y, &mut y_new);
-            std::mem::swap(&mut k1, &mut f_new);
-
-            if step_idx % self.record_every == 0 || step_idx == n_steps {
-                traj.push_trusted(t, y);
-            }
-        }
-
-        // 4 evals per step (k2, k3, k4, f_new) plus the initial k1.
-        crate::obs::flush_integration(n_steps as u64, 0, 4 * n_steps as u64 + 1, 0);
-        Ok((traj, buffer))
-    }
-
-    /// Integrate without recording a trajectory and with the history
-    /// buffer pruned to a sliding window, streaming every step to `obs` —
-    /// the O(N · window/h)-memory fast path for long-horizon delay runs.
-    ///
-    /// `history_window` must be at least the largest delay the system
-    /// ever looks back (`τ_max`); lookups reach `t − τ_max` while the
-    /// buffer retains `[t − history_window, t]` (plus one bracketing
-    /// knot). Too small a window is caught by a debug assertion and
-    /// silently clamps to the oldest retained knot in release builds.
-    ///
-    /// The step arithmetic is identical to [`DdeRk4::integrate_with`], so
-    /// states are bitwise identical to that path whenever the window
-    /// covers every lookup (asserted by the property suite).
-    #[allow(clippy::too_many_arguments)]
-    pub fn integrate_observed<S: DdeSystem + ?Sized, O: StepObserver>(
-        &self,
-        sys: &S,
-        t0: f64,
-        initial: InitialHistory,
-        t_end: f64,
-        history_window: f64,
-        ws: &mut Workspace,
-        obs: &mut O,
-    ) -> Result<ObservedSummary, OdeError> {
-        let n = sys.dim();
-        if let Some(d) = initial.dim() {
-            if d != n {
-                return Err(OdeError::DimensionMismatch {
-                    expected: n,
-                    got: d,
-                });
-            }
-        }
-        if !(history_window.is_finite() && history_window >= 0.0) {
-            return Err(OdeError::InvalidParameter {
-                name: "history_window",
-                value: history_window,
-            });
-        }
-        // Deliberate negation: also rejects NaN endpoints.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(t_end > t0) {
-            return Err(OdeError::EmptySpan { t0, t_end });
-        }
-
-        let span = t_end - t0;
-        let n_steps = (span / self.h).ceil().max(1.0) as usize;
-
-        let (stage, drive) = ws.split();
-        let [k2, k3, k4, ytmp] = stage.slices::<4>(n);
-        let [mut y, mut y_new, mut k1, mut f_new] = drive.slices::<4>(n);
-
-        for (i, yi) in y.iter_mut().enumerate() {
-            *yi = initial.sample(t0, i);
-        }
-
-        let boot = BootstrapHistory {
-            initial: &initial,
-            t0,
-            y0: &*y,
-        };
-        sys.eval(t0, y, &boot, k1);
-        check_finite(t0, k1)?;
         let mut n_eval = 1;
 
         let mut buffer = HistoryBuffer::new(t0, y, k1, initial);
-        // Reserve the window's worth of knots, not the whole run's.
-        buffer.reserve(((history_window / self.h).ceil() as usize + 66).min(n_steps + 1));
+        // Reserve one knot per step — only the window's worth when pruning.
+        // Saturating: a huge finite window casts to `usize::MAX`.
+        buffer.reserve(match history_window {
+            Some(w) => ((w / self.h).ceil() as usize)
+                .saturating_add(66)
+                .min(n_steps.saturating_add(1)),
+            None => n_steps,
+        });
 
         let mut t = t0;
         obs.begin(t0, y);
@@ -555,9 +491,11 @@ impl DdeRk4 {
             n_eval += 4; // k2, k3, k4, f_new (k1 is carried over)
             check_finite(t, f_new)?;
             buffer.push(t, y_new, f_new);
-            // All future lookups reach back at most `history_window` from
-            // the current front; older knots can go.
-            buffer.prune_before(t - history_window);
+            if let Some(w) = history_window {
+                // All future lookups reach back at most `w` from the
+                // current front; older knots can go.
+                buffer.prune_before(t - w);
+            }
 
             std::mem::swap(&mut y, &mut y_new);
             std::mem::swap(&mut k1, &mut f_new);
@@ -567,12 +505,13 @@ impl DdeRk4 {
 
         // begin + every step + finish observer callbacks.
         crate::obs::flush_integration(n_steps as u64, 0, n_eval as u64, n_steps as u64 + 2);
-        Ok(ObservedSummary {
+        let summary = ObservedSummary {
             t_end: t,
             n_steps,
             n_eval,
             y_end: y.to_vec(),
-        })
+        };
+        Ok((summary, buffer))
     }
 }
 
@@ -604,6 +543,7 @@ fn check_finite(t: f64, v: &[f64]) -> Result<(), OdeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{CollectObserver, NoObserver, ObserveEvery};
 
     /// ẏ(t) = −y(t − 1), constant history y ≡ 1.
     ///
@@ -781,12 +721,87 @@ mod tests {
     }
 
     #[test]
-    fn record_every_keeps_final_sample() {
-        let solver = DdeRk4::new(0.1).unwrap().record_every(7);
-        let (traj, _) = solver
-            .integrate(&LagDecay, 0.0, InitialHistory::Constant(vec![1.0]), 1.0)
+    fn decimated_recording_keeps_final_sample() {
+        let solver = DdeRk4::new(0.1).unwrap();
+        let mut rec = ObserveEvery::new(Record::default(), 7);
+        solver
+            .integrate_observed(
+                &LagDecay,
+                0.0,
+                InitialHistory::Constant(vec![1.0]),
+                1.0,
+                1.0,
+                &mut Workspace::new(),
+                &mut rec,
+            )
             .unwrap();
+        let traj = rec.into_inner().into_trajectory();
+        // 10 steps: t0, step 7 and the final step 10.
+        assert_eq!(traj.len(), 3);
         assert!((traj.times().last().unwrap() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn huge_history_window_keeps_everything() {
+        let solver = DdeRk4::new(0.05).unwrap();
+        let init = || InitialHistory::Constant(vec![1.0]);
+        let (traj, _) = solver.integrate(&LagDecay, 0.0, init(), 3.0).unwrap();
+        let sum = solver
+            .integrate_observed(
+                &LagDecay,
+                0.0,
+                init(),
+                3.0,
+                f64::MAX,
+                &mut Workspace::new(),
+                &mut NoObserver,
+            )
+            .unwrap();
+        assert_eq!(sum.y_end[0].to_bits(), traj.last().unwrap()[0].to_bits());
+    }
+
+    /// ẏ = y² (no delay term): RK4 overflows shortly past the pole at t = 1.
+    struct Blowup;
+
+    impl DdeSystem for Blowup {
+        fn dim(&self) -> usize {
+            1
+        }
+        fn eval(&self, _t: f64, y: &[f64], _hist: &dyn PhaseHistory, dydt: &mut [f64]) {
+            dydt[0] = y[0] * y[0];
+        }
+    }
+
+    /// Run [`Blowup`] from y = 1 over [0, 5] with h = 0.01 (500 steps).
+    fn blowup_error(obs: &mut impl StepObserver) -> OdeError {
+        let init = InitialHistory::Constant(vec![1.0]);
+        DdeRk4::new(0.01)
+            .unwrap()
+            .integrate_observed(&Blowup, 0.0, init, 5.0, 0.0, &mut Workspace::new(), obs)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn decimated_recording_reports_blowup_at_first_non_finite_step() {
+        let k = 64;
+        let mut all = CollectObserver::default();
+        let err_all = blowup_error(&mut all);
+        let err_rec = blowup_error(&mut ObserveEvery::new(Record::default(), k));
+        assert_eq!(err_rec, err_all);
+        // The failing step is the first one not delivered; the error names
+        // its start or its end, before the next record point.
+        let first_bad = all.samples.len() + 1;
+        assert_ne!(first_bad % k, 0, "blow-up must fall between record points");
+        let t_bad_end = 5.0 * (first_bad as f64 / 500.0);
+        match err_rec {
+            OdeError::NonFiniteDerivative { t, component: 0 } => {
+                assert!(
+                    t <= t_bad_end,
+                    "reported at t = {t}, blow-up by {t_bad_end}"
+                )
+            }
+            other => panic!("expected a non-finite error, got {other:?}"),
+        }
     }
 
     #[test]

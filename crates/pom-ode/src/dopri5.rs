@@ -16,7 +16,7 @@
 
 use crate::dense::{DenseSegment, DenseSolution};
 use crate::error::OdeError;
-use crate::observe::{ObservedSummary, StepObserver};
+use crate::observe::{NoObserver, ObservedSummary, StepObserver};
 use crate::workspace::Workspace;
 use crate::OdeSystem;
 
@@ -194,13 +194,13 @@ impl Dopri5 {
     }
 
     /// Integrate with caller-provided scratch memory and a monomorphized
-    /// right-hand side — the fast path.
+    /// right-hand side, building the dense solution.
     ///
-    /// The step loop itself is allocation-free; the only per-step
-    /// allocation left is the dense-output segment pushed for each
-    /// *accepted* step, which is the product of the integration (one flat
-    /// coefficient vector per segment). Results are bitwise identical to
-    /// [`Dopri5::integrate_with_stats`] regardless of workspace reuse.
+    /// Runs the same step loop as [`Dopri5::integrate_observed`] (same
+    /// accepted steps, bitwise-identical final state) and additionally
+    /// keeps one 5×n dense-output segment per accepted step — the product
+    /// of the integration, and its only per-step allocation. Results are
+    /// bitwise independent of workspace reuse.
     pub fn integrate_with<S: OdeSystem + ?Sized>(
         &self,
         sys: &S,
@@ -209,6 +209,45 @@ impl Dopri5 {
         t_end: f64,
         ws: &mut Workspace,
     ) -> Result<(DenseSolution, SolverStats), OdeError> {
+        let mut segments = Vec::new();
+        let (sum, stats) =
+            self.run(sys, t0, y0, t_end, ws, &mut NoObserver, Some(&mut segments))?;
+        let sol = DenseSolution::new(sys.dim(), t0, t_end, y0.to_vec(), sum.y_end, segments);
+        Ok((sol, stats))
+    }
+
+    /// Integrate without building a dense solution, streaming every
+    /// *accepted* step to `obs` — the O(N)-memory fast path.
+    ///
+    /// The dense segments [`Dopri5::integrate_with`] keeps are the memory
+    /// bound of long-horizon observable extraction; this entry point runs
+    /// the same step loop but keeps nothing per step. Rejected step
+    /// attempts are invisible to the observer.
+    pub fn integrate_observed<S: OdeSystem + ?Sized, O: StepObserver>(
+        &self,
+        sys: &S,
+        t0: f64,
+        y0: &[f64],
+        t_end: f64,
+        ws: &mut Workspace,
+        obs: &mut O,
+    ) -> Result<(ObservedSummary, SolverStats), OdeError> {
+        self.run(sys, t0, y0, t_end, ws, obs, None)
+    }
+
+    /// The step loop. With `dense` set, every accepted step also appends
+    /// its dense-output segment there.
+    #[allow(clippy::too_many_arguments)]
+    fn run<S: OdeSystem + ?Sized, O: StepObserver>(
+        &self,
+        sys: &S,
+        t0: f64,
+        y0: &[f64],
+        t_end: f64,
+        ws: &mut Workspace,
+        obs: &mut O,
+        mut dense: Option<&mut Vec<DenseSegment>>,
+    ) -> Result<(ObservedSummary, SolverStats), OdeError> {
         self.validate()?;
         let n = sys.dim();
         if y0.len() != n {
@@ -247,10 +286,10 @@ impl Dopri5 {
             }
         };
 
-        let mut segments: Vec<DenseSegment> = Vec::new();
         let mut fac_old: f64 = 1e-4;
         let mut last_rejected = false;
 
+        obs.begin(t0, y);
         loop {
             if t >= t_end {
                 break;
@@ -316,178 +355,28 @@ impl Dopri5 {
             let h_new = h / fac;
 
             if err <= 1.0 {
-                // Accept: build the dense-output segment for [t, t+h] —
-                // one flat 5×n coefficient vector, the segment's storage.
                 fac_old = err.max(1e-4);
-                let mut rcont = vec![0.0; 5 * n];
-                for i in 0..n {
-                    let ydiff = y_new[i] - y[i];
-                    let bspl = h * k1[i] - ydiff;
-                    rcont[i] = y[i];
-                    rcont[n + i] = ydiff;
-                    rcont[2 * n + i] = bspl;
-                    rcont[3 * n + i] = ydiff - h * k7[i] - bspl;
-                    rcont[4 * n + i] = h
-                        * (D1 * k1[i]
-                            + D3 * k3[i]
-                            + D4 * k4[i]
-                            + D5 * k5[i]
-                            + D6 * k6[i]
-                            + D7 * k7[i]);
+                if let Some(segments) = dense.as_deref_mut() {
+                    // The dense-output segment for [t, t+h]: one flat 5×n
+                    // coefficient vector, the segment's storage.
+                    let mut rcont = vec![0.0; 5 * n];
+                    for i in 0..n {
+                        let ydiff = y_new[i] - y[i];
+                        let bspl = h * k1[i] - ydiff;
+                        rcont[i] = y[i];
+                        rcont[n + i] = ydiff;
+                        rcont[2 * n + i] = bspl;
+                        rcont[3 * n + i] = ydiff - h * k7[i] - bspl;
+                        rcont[4 * n + i] = h
+                            * (D1 * k1[i]
+                                + D3 * k3[i]
+                                + D4 * k4[i]
+                                + D5 * k5[i]
+                                + D6 * k6[i]
+                                + D7 * k7[i]);
+                    }
+                    segments.push(DenseSegment::from_flat(t, h, n, rcont));
                 }
-                segments.push(DenseSegment::from_flat(t, h, n, rcont));
-
-                t += h;
-                std::mem::swap(&mut y, &mut y_new);
-                std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
-                stats.n_accepted += 1;
-
-                h = if last_rejected { h_new.min(h) } else { h_new }.min(h_max);
-                last_rejected = false;
-            } else {
-                stats.n_rejected += 1;
-                last_rejected = true;
-                h /= (fac11 / SAFETY).min(FAC1_INV);
-            }
-        }
-
-        let sol = DenseSolution::new(n, t0, t_end, y0.to_vec(), y.to_vec(), segments);
-        crate::obs::flush_integration(
-            stats.n_accepted as u64,
-            stats.n_rejected as u64,
-            stats.n_eval as u64,
-            0,
-        );
-        Ok((sol, stats))
-    }
-
-    /// Integrate without building a dense solution, streaming every
-    /// *accepted* step to `obs` — the O(N)-memory fast path.
-    ///
-    /// [`Dopri5::integrate_with`] allocates one 5×n dense-output segment
-    /// per accepted step (that is the product of the integration); for
-    /// long-horizon observable extraction those segments are the memory
-    /// bound. This driver runs the identical step-control arithmetic
-    /// (same stages, same error norm, same PI controller — the accepted
-    /// step sequence and the final state are bitwise identical to the
-    /// recording path, asserted by the property suite) but keeps nothing
-    /// per step. Rejected step attempts are invisible to the observer.
-    pub fn integrate_observed<S: OdeSystem + ?Sized, O: StepObserver>(
-        &self,
-        sys: &S,
-        t0: f64,
-        y0: &[f64],
-        t_end: f64,
-        ws: &mut Workspace,
-        obs: &mut O,
-    ) -> Result<(ObservedSummary, SolverStats), OdeError> {
-        self.validate()?;
-        let n = sys.dim();
-        if y0.len() != n {
-            return Err(OdeError::DimensionMismatch {
-                expected: n,
-                got: y0.len(),
-            });
-        }
-        // Deliberate negation: also rejects NaN endpoints.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(t_end > t0) {
-            return Err(OdeError::EmptySpan { t0, t_end });
-        }
-
-        let span = t_end - t0;
-        let h_max = self.h_max.unwrap_or(span).min(span);
-        let mut stats = SolverStats::default();
-
-        let (stage, drive) = ws.split();
-        let [mut k1, k2, k3, k4, k5, k6, mut k7, y_stage, mut y_new] = stage.slices::<9>(n);
-        let [mut y, probe_y, probe_f] = drive.slices::<3>(n);
-
-        let mut t = t0;
-        y.copy_from_slice(y0);
-
-        sys.eval(t, y, k1);
-        stats.n_eval += 1;
-        check_finite(t, k1)?;
-
-        let mut h = match self.h0 {
-            Some(h0) => h0.min(h_max),
-            None => {
-                let h = self.hinit(sys, t, y, k1, h_max, probe_y, probe_f, &mut stats)?;
-                check_finite(t, k1)?;
-                h
-            }
-        };
-
-        let mut fac_old: f64 = 1e-4;
-        let mut last_rejected = false;
-
-        obs.begin(t0, y);
-        loop {
-            if t >= t_end {
-                break;
-            }
-            if stats.n_accepted + stats.n_rejected >= self.max_steps {
-                return Err(OdeError::TooManySteps {
-                    t_reached: t,
-                    max_steps: self.max_steps,
-                });
-            }
-            if t + 1.01 * h >= t_end {
-                h = t_end - t;
-            }
-            if h <= f64::EPSILON * t.abs().max(1.0) {
-                return Err(OdeError::StepSizeUnderflow { t, h });
-            }
-
-            // --- the 6 fresh stages (identical to integrate_with) ---
-            for i in 0..n {
-                y_stage[i] = y[i] + h * A21 * k1[i];
-            }
-            sys.eval(t + C2 * h, y_stage, k2);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i]);
-            }
-            sys.eval(t + C3 * h, y_stage, k3);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i]);
-            }
-            sys.eval(t + C4 * h, y_stage, k4);
-            for i in 0..n {
-                y_stage[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i]);
-            }
-            sys.eval(t + C5 * h, y_stage, k5);
-            for i in 0..n {
-                y_stage[i] = y[i]
-                    + h * (A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]);
-            }
-            sys.eval(t + h, y_stage, k6);
-            for i in 0..n {
-                y_new[i] = y[i]
-                    + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]);
-            }
-            sys.eval(t + h, y_new, k7);
-            stats.n_eval += 6;
-            check_finite(t, k7)?;
-
-            // --- error norm ---
-            let mut err_sq = 0.0;
-            for i in 0..n {
-                let e = h
-                    * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
-                let sc = self.atol + self.rtol * y[i].abs().max(y_new[i].abs());
-                err_sq += (e / sc) * (e / sc);
-            }
-            let err = (err_sq / n as f64).sqrt();
-
-            // --- PI controller ---
-            let fac11 = err.powf(EXPO1);
-            let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(1.0 / FAC2, FAC1_INV);
-            let h_new = h / fac;
-
-            if err <= 1.0 {
-                // Accept: no dense segment — the observer is the output.
-                fac_old = err.max(1e-4);
                 t += h;
                 std::mem::swap(&mut y, &mut y_new);
                 std::mem::swap(&mut k1, &mut k7); // FSAL: swap the slice handles
@@ -520,23 +409,6 @@ impl Dopri5 {
             },
             stats,
         ))
-    }
-
-    /// Integrate an ensemble of initial conditions over the same span,
-    /// reusing one workspace; returns one dense solution per member (in
-    /// input order). The first error aborts the batch.
-    pub fn integrate_many<S: OdeSystem + ?Sized>(
-        &self,
-        sys: &S,
-        t0: f64,
-        inits: &[Vec<f64>],
-        t_end: f64,
-        ws: &mut Workspace,
-    ) -> Result<Vec<DenseSolution>, OdeError> {
-        inits
-            .iter()
-            .map(|y0| self.integrate_with(sys, t0, y0, t_end, ws).map(|(s, _)| s))
-            .collect()
     }
 
     /// Integrate, discarding the statistics.

@@ -78,26 +78,6 @@ pub fn first_zero_crossing(
     None
 }
 
-/// First time component `i` rises above `threshold` (strictly from below).
-pub fn first_time_above(
-    sol: &DenseSolution,
-    i: usize,
-    threshold: f64,
-    n_scan: usize,
-) -> Option<f64> {
-    first_zero_crossing(sol, |_t, y| y[i] - threshold, sol.t0(), sol.t_end(), n_scan)
-}
-
-/// First time component `i` falls below `threshold`.
-pub fn first_time_below(
-    sol: &DenseSolution,
-    i: usize,
-    threshold: f64,
-    n_scan: usize,
-) -> Option<f64> {
-    first_zero_crossing(sol, |_t, y| threshold - y[i], sol.t0(), sol.t_end(), n_scan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,27 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn threshold_helpers() {
-        let sol = harmonic_solution();
-        // y0 = cos t falls below 0.5 at t = π/3.
-        let t = first_time_below(&sol, 0, 0.5, 200).unwrap();
-        assert!((t - PI / 3.0).abs() < 1e-8, "got {t}");
-        // y1 = −sin t rises above −0.5 only after being below; from t=0 it
-        // starts at 0 > −0.5, so the crossing search starts already above:
-        // no sign change from below, but the scan sees g(t0) > 0 … use the
-        // inverse: −sin t falls below −0.5 at t = π/6.
-        let t = first_time_below(&sol, 1, -0.5, 200).unwrap();
-        assert!((t - PI / 6.0).abs() < 1e-8, "got {t}");
-    }
-
-    #[test]
     fn no_crossing_returns_none() {
         let sol = harmonic_solution();
         assert_eq!(
             first_zero_crossing(&sol, |_t, y| y[0] + 10.0, 0.0, 10.0, 100),
             None
         );
-        assert_eq!(first_time_above(&sol, 0, 55.0, 100), None);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! test suite hard numerical ground truth.
 
 use crate::error::OdeError;
-use crate::observe::{ObservedSummary, StepObserver};
+use crate::observe::{ObservedSummary, Record, StepObserver};
 use crate::trajectory::Trajectory;
 use crate::workspace::{ScratchPool, Workspace};
 use crate::OdeSystem;
@@ -155,13 +155,11 @@ impl Stepper for Rk4 {
     }
 }
 
-/// Drives a [`Stepper`] across a time span with a constant step size,
-/// recording every `record_every`-th sample into a [`Trajectory`].
+/// Drives a [`Stepper`] across a time span with a constant step size.
 #[derive(Debug, Clone)]
 pub struct FixedStepSolver<S> {
     stepper: S,
     h: f64,
-    record_every: usize,
 }
 
 impl<S: Stepper> FixedStepSolver<S> {
@@ -173,18 +171,7 @@ impl<S: Stepper> FixedStepSolver<S> {
                 value: h,
             });
         }
-        Ok(Self {
-            stepper,
-            h,
-            record_every: 1,
-        })
-    }
-
-    /// Record only every `k`-th step into the trajectory (the final state is
-    /// always recorded). `k = 0` is treated as 1.
-    pub fn record_every(mut self, k: usize) -> Self {
-        self.record_every = k.max(1);
-        self
+        Ok(Self { stepper, h })
     }
 
     /// Step size.
@@ -209,14 +196,10 @@ impl<S: Stepper> FixedStepSolver<S> {
         self.integrate_with(sys, t0, y0, t_end, &mut Workspace::new())
     }
 
-    /// Integrate with caller-provided scratch memory and a monomorphized
-    /// right-hand side — the allocation-free fast path.
-    ///
-    /// After the workspace warms up (first step at this dimension), the
-    /// step loop performs no heap allocation; only the recorded
-    /// [`Trajectory`] owns memory, and its capacity is reserved up front.
-    /// Results are bitwise identical to [`FixedStepSolver::integrate`]
-    /// regardless of workspace reuse.
+    /// Integrate with caller-provided scratch memory, recording every step:
+    /// [`FixedStepSolver::integrate_observed`] with a [`Record`] attached.
+    /// For a decimated recording, attach `ObserveEvery::new(Record, k)`
+    /// to `integrate_observed` directly.
     pub fn integrate_with<Sys: OdeSystem + ?Sized>(
         &self,
         sys: &Sys,
@@ -225,70 +208,24 @@ impl<S: Stepper> FixedStepSolver<S> {
         t_end: f64,
         ws: &mut Workspace,
     ) -> Result<Trajectory, OdeError> {
-        if y0.len() != sys.dim() {
-            return Err(OdeError::DimensionMismatch {
-                expected: sys.dim(),
-                got: y0.len(),
-            });
-        }
-        // Deliberate negation: also rejects NaN endpoints.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        if !(t_end > t0) {
-            return Err(OdeError::EmptySpan { t0, t_end });
-        }
-
-        let n = sys.dim();
-        let span = t_end - t0;
-        let n_steps = (span / self.h).ceil().max(1.0) as usize;
-
-        let mut traj = Trajectory::with_capacity(n, n_steps / self.record_every + 2);
-        traj.push(t0, y0)?;
-
-        let (stage, drive) = ws.split();
-        let [mut y, mut y_next] = drive.slices::<2>(n);
-        y.copy_from_slice(y0);
-        let mut t = t0;
-        let mut n_eval = 0usize;
-
-        for step_idx in 1..=n_steps {
-            // Recompute the target time from the index so that rounding
-            // error does not accumulate across millions of steps.
-            let t_target = if step_idx == n_steps {
-                t_end
-            } else {
-                t0 + span * (step_idx as f64 / n_steps as f64)
-            };
-            let h = t_target - t;
-            n_eval += self.stepper.step(sys, t, y, h, y_next, stage);
-            std::mem::swap(&mut y, &mut y_next);
-            t = t_target;
-            if step_idx % self.record_every == 0 || step_idx == n_steps {
-                // Non-finite states are detected at record points only:
-                // once a component goes NaN/∞ it stays non-finite under
-                // the RK update `y' = y + h·Σb_i k_i`, so deferring the
-                // scan to the (always recorded) next sample loses no
-                // errors and keeps the per-step loop branch-light.
-                if let Some(bad) = y.iter().position(|v| !v.is_finite()) {
-                    return Err(OdeError::NonFiniteDerivative { t, component: bad });
-                }
-                traj.push_trusted(t, y);
-            }
-        }
-        crate::obs::flush_integration(n_steps as u64, 0, n_eval as u64, 0);
-        Ok(traj)
+        let samples = self.n_steps(t_end - t0).saturating_add(1);
+        let mut rec = Record::with_capacity(samples);
+        self.integrate_observed(sys, t0, y0, t_end, ws, &mut rec)?;
+        Ok(rec.into_trajectory())
     }
 
-    /// Integrate without recording a trajectory, streaming every step to
-    /// `obs` instead — the O(N)-memory fast path for long-horizon runs.
+    /// Number of steps the driver takes over `span`.
+    fn n_steps(&self, span: f64) -> usize {
+        (span / self.h).ceil().max(1.0) as usize
+    }
+
+    /// Integrate, streaming every step to `obs` — the solver's one step
+    /// loop, and the O(N)-memory fast path when `obs` keeps no samples.
     ///
-    /// The step loop is the same index-recomputed driver as
-    /// [`FixedStepSolver::integrate_with`] (same step sequence, same
-    /// arithmetic), so the final state is bitwise identical to that
-    /// path's last recorded sample; only the per-sample storage is gone.
-    /// The observer sees *every* step regardless of
-    /// [`FixedStepSolver::record_every`] (decimate with
-    /// [`crate::ObserveEvery`]). Non-finite states are detected at every
-    /// observed step, since the observer reads the state anyway.
+    /// After the workspace warms up (first step at this dimension), the
+    /// loop performs no heap allocation and results are bitwise
+    /// independent of workspace reuse. Non-finite states are reported at
+    /// the first step that produces one.
     pub fn integrate_observed<Sys: OdeSystem + ?Sized, O: StepObserver>(
         &self,
         sys: &Sys,
@@ -312,7 +249,7 @@ impl<S: Stepper> FixedStepSolver<S> {
 
         let n = sys.dim();
         let span = t_end - t0;
-        let n_steps = (span / self.h).ceil().max(1.0) as usize;
+        let n_steps = self.n_steps(span);
 
         let (stage, drive) = ws.split();
         let [mut y, mut y_next] = drive.slices::<2>(n);
@@ -322,8 +259,8 @@ impl<S: Stepper> FixedStepSolver<S> {
 
         obs.begin(t0, y);
         for step_idx in 1..=n_steps {
-            // Same rounding-stable target-time recomputation as the
-            // recording driver: identical step sequence by construction.
+            // Recompute the target time from the index so that rounding
+            // error does not accumulate across millions of steps.
             let t_target = if step_idx == n_steps {
                 t_end
             } else {
@@ -348,32 +285,12 @@ impl<S: Stepper> FixedStepSolver<S> {
             y_end: y.to_vec(),
         })
     }
-
-    /// Integrate an ensemble of initial conditions over the same span,
-    /// reusing one workspace across all members.
-    ///
-    /// Returns one trajectory per initial condition, in input order;
-    /// each is bitwise identical to the corresponding sequential
-    /// [`FixedStepSolver::integrate`] call. The first error aborts the
-    /// batch.
-    pub fn integrate_many<Sys: OdeSystem + ?Sized>(
-        &self,
-        sys: &Sys,
-        t0: f64,
-        inits: &[Vec<f64>],
-        t_end: f64,
-        ws: &mut Workspace,
-    ) -> Result<Vec<Trajectory>, OdeError> {
-        inits
-            .iter()
-            .map(|y0| self.integrate_with(sys, t0, y0, t_end, ws))
-            .collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observe::{CollectObserver, ObserveEvery};
     use crate::FnSystem;
 
     /// ẏ = −y ⇒ y(t) = y₀ e^{−t}.
@@ -472,12 +389,47 @@ mod tests {
     }
 
     #[test]
-    fn record_every_thins_output_but_keeps_final() {
-        let solver = FixedStepSolver::new(Euler, 0.1).unwrap().record_every(4);
-        let traj = solver.integrate(&decay(), 0.0, &[1.0], 1.0).unwrap();
+    fn decimated_recording_thins_output_but_keeps_final() {
+        let solver = FixedStepSolver::new(Euler, 0.1).unwrap();
+        let mut rec = ObserveEvery::new(Record::default(), 4);
+        solver
+            .integrate_observed(&decay(), 0.0, &[1.0], 1.0, &mut Workspace::new(), &mut rec)
+            .unwrap();
+        let traj = rec.into_inner().into_trajectory();
         // 10 steps: records t0, steps 4, 8 and the final step 10.
         assert_eq!(traj.len(), 4);
         assert_eq!(*traj.times().last().unwrap(), 1.0);
+    }
+
+    #[test]
+    fn decimated_recording_reports_blowup_at_first_non_finite_step() {
+        // ẏ = y²: Euler overflows to +∞ a few dozen steps past the pole.
+        let sys = FnSystem::new(1, |_t, y, d| d[0] = y[0] * y[0]);
+        let solver = FixedStepSolver::new(Euler, 0.01).unwrap();
+        let (t_end, n_steps) = (5.0, 500);
+        let mut all = CollectObserver::default();
+        let res =
+            solver.integrate_observed(&sys, 0.0, &[1.0], t_end, &mut Workspace::new(), &mut all);
+        assert!(res.is_err());
+        // Every step before the blow-up was delivered; the next one is it.
+        let first_bad = all.samples.len() + 1;
+        let t_bad = t_end * (first_bad as f64 / n_steps as f64);
+        let k = 64;
+        assert_ne!(first_bad % k, 0, "blow-up must fall between record points");
+
+        let mut rec = ObserveEvery::new(Record::default(), k);
+        let res =
+            solver.integrate_observed(&sys, 0.0, &[1.0], t_end, &mut Workspace::new(), &mut rec);
+        match res {
+            Err(OdeError::NonFiniteDerivative { t, component: 0 }) => {
+                assert_eq!(
+                    t.to_bits(),
+                    t_bad.to_bits(),
+                    "reported at t = {t}, blow-up at {t_bad}"
+                )
+            }
+            other => panic!("expected a non-finite error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -17,8 +17,6 @@
 //! * [`dopri5`] — adaptive Dormand–Prince 5(4) with PI step-size control,
 //!   FSAL optimization and 5-coefficient dense output
 //!   ([`dopri5::Dopri5`]).
-//! * [`bs23`] — adaptive Bogacki–Shampine 3(2) (MATLAB's `ode23`), the
-//!   cheap low-order alternative for loose-tolerance runs.
 //! * [`dense`] — dense-output segments and the piecewise
 //!   [`dense::DenseSolution`] they form.
 //! * [`dde`] — delay systems ([`dde::DdeSystem`]), cubic-Hermite history
@@ -31,22 +29,26 @@
 //!   `[n × R]` layout ([`EnsembleLayout`]), the gather/scatter reference
 //!   system ([`EnsembleSystem`]) and the per-replica observer fan-out
 //!   ([`EnsembleObserver`]).
-//! * [`observe`] — streaming step observers ([`StepObserver`]) and the
-//!   `integrate_observed` entry points' shared types: online observables
-//!   over long-horizon runs with **no** per-step trajectory storage.
+//! * [`observe`] — streaming step observers ([`StepObserver`]), the
+//!   recording observer [`Record`] and the decimating [`ObserveEvery`]:
+//!   online observables over long-horizon runs with **no** per-step
+//!   trajectory storage, or a stored trajectory when one is wanted.
 //! * [`workspace`] — reusable scratch memory ([`Workspace`]) for the
-//!   allocation-free `integrate_with`/`integrate_many` fast paths.
+//!   allocation-free step loops.
 //!
 //! ## Performance model
 //!
-//! Every solver has two entry points. The classic one (`integrate`,
-//! `integrate_with_stats`) accepts `&dyn OdeSystem` and allocates a fresh
-//! workspace per call — convenient for one-off runs. The `_with` variants
-//! are generic over the system (monomorphized right-hand side, no virtual
-//! dispatch) and borrow a caller-held [`Workspace`], so the step loop is
-//! allocation-free; `integrate_many` amortizes one workspace over a whole
-//! ensemble of initial conditions. Both paths produce bitwise identical
-//! results (asserted by the property-test suite).
+//! Every solver has exactly one step loop, reached through
+//! `integrate_observed`: generic over the system (monomorphized
+//! right-hand side, no virtual dispatch) and over the [`StepObserver`],
+//! borrowing a caller-held [`Workspace`] so the loop is allocation-free.
+//! Recording runs the same loop: the fixed-step and DDE `integrate_with`
+//! attach a [`Record`] (the DDE solver also returns its full history),
+//! Dopri5's collects its dense-output segments. `integrate` /
+//! `integrate_with_stats` accept `&dyn` systems and allocate a fresh
+//! workspace per call — convenient for one-off runs. A recorded run and
+//! an observed run therefore take the same steps and produce bitwise
+//! identical states, whatever the workspace's history.
 //!
 //! ## Example
 //!
@@ -62,7 +64,6 @@
 //! assert!((y5 - (-5.0f64).exp()).abs() < 1e-7);
 //! ```
 
-pub mod bs23;
 pub mod dde;
 pub mod dense;
 pub mod dopri5;
@@ -75,14 +76,13 @@ pub mod observe;
 pub mod trajectory;
 pub mod workspace;
 
-pub use bs23::{Bs23, Bs23Stats};
 pub use dde::{DdeRk4, DdeSystem, PhaseHistory};
 pub use dense::{DenseSegment, DenseSolution};
 pub use dopri5::{Dopri5, SolverStats};
 pub use ensemble::{EnsembleLayout, EnsembleObserver, EnsembleSystem};
 pub use error::OdeError;
 pub use fixed::{Euler, FixedStepSolver, Heun, Rk4, Stepper};
-pub use observe::{NoObserver, ObserveEvery, ObservedSummary, StepObserver};
+pub use observe::{NoObserver, ObserveEvery, ObservedSummary, Record, StepObserver};
 pub use trajectory::Trajectory;
 pub use workspace::{ScratchPool, Workspace};
 

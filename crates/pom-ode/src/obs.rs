@@ -38,7 +38,7 @@ fn metrics() -> &'static OdeMetrics {
             ),
             observer_callbacks: r.counter(
                 "pom_ode_observer_callbacks_total",
-                "StepObserver callbacks delivered by integrate_observed.",
+                "StepObserver callbacks delivered by the step loops (observed and recording runs).",
             ),
         }
     })

@@ -1,22 +1,22 @@
 //! Streaming step observers: online observables without a stored trajectory.
 //!
-//! Every solver in this crate can *record* its solution into a
-//! [`crate::Trajectory`] — but a recorded run of `N` oscillators over `S`
-//! steps owns `S × N` doubles, which makes long-horizon large-`N` runs
-//! (the idle-wave and desynchronization measurements at `n = 65536`)
-//! memory-bound on storage the analysis layer immediately reduces to a
-//! handful of scalars. A [`StepObserver`] inverts that: the solver hands
-//! each accepted step to the observer *as it happens*, the observer folds
-//! it into O(N) (usually O(1)) state, and nothing per-step is kept.
+//! A recorded run of `N` oscillators over `S` steps owns `S × N` doubles,
+//! which makes long-horizon large-`N` runs (the idle-wave and
+//! desynchronization measurements at `n = 65536`) memory-bound on storage
+//! the analysis layer immediately reduces to a handful of scalars. A
+//! [`StepObserver`] inverts that: the solver hands each accepted step to
+//! the observer *as it happens*, the observer folds it into O(N) (usually
+//! O(1)) state, and nothing per-step is kept.
 //!
-//! The observed entry points (`integrate_observed` on
-//! [`crate::FixedStepSolver`], [`crate::Dopri5`], [`crate::Bs23`] and
-//! [`crate::DdeRk4`]) are separate functions from the recording paths: the
-//! classic `integrate`/`integrate_with` loops are untouched, so the
-//! no-observer paths remain bitwise identical to previous releases (the
-//! property suite asserts the observed paths against them). Observers are
-//! monomorphized (`O: StepObserver`), so a [`NoObserver`] compiles to the
-//! bare step loop.
+//! Each solver ([`crate::FixedStepSolver`], [`crate::Dopri5`],
+//! [`crate::DdeRk4`]) has exactly one step loop, reached through
+//! `integrate_observed`. Recording is just another observer: the
+//! fixed-step and DDE `integrate`/`integrate_with` entry points run that
+//! same loop with a [`Record`] attached, so a recorded trajectory holds
+//! exactly the states the observer stream delivers (Dopri5's collect the
+//! dense-output segments in the same loop). Observers are monomorphized
+//! (`O: StepObserver`), so a [`NoObserver`] compiles to the bare step
+//! loop.
 //!
 //! ## Call protocol
 //!
@@ -32,14 +32,16 @@
 //!    delivering new data.
 //!
 //! Decimation composes via [`ObserveEvery`], which forwards every `k`-th
-//! step plus the final one under the same no-duplicate convention as the
-//! solvers' `record_every` trajectory knob.
+//! step plus the final one, never duplicating the final sample. A
+//! decimated recording is `ObserveEvery::new(Record::default(), k)`.
+
+use crate::trajectory::Trajectory;
 
 /// Receives accepted solver steps as they happen.
 ///
 /// State lives in the observer (`&mut self`); implementations should keep
 /// it O(N) or smaller — storing every sample would defeat the purpose
-/// (use the recording `integrate` paths for that).
+/// (use [`Record`] for that).
 pub trait StepObserver {
     /// Called once before the first step with the initial state.
     fn begin(&mut self, _t0: f64, _y0: &[f64]) {}
@@ -91,10 +93,9 @@ impl<O: StepObserver + ?Sized> StepObserver for &mut O {
 /// Decimating adapter: forwards `begin`, every `k`-th accepted step, and
 /// the final state.
 ///
-/// Follows the solvers' `record_every` convention exactly: steps
-/// `k, 2k, 3k, …` are forwarded as they arrive, and the final step is
-/// forwarded from `finish` *only if* it was not already forwarded (so a
-/// span of `n` steps with `n % k == 0` delivers no duplicate final
+/// Steps `k, 2k, 3k, …` are forwarded as they arrive, and the final step
+/// is forwarded from `finish` *only if* it was not already forwarded (so
+/// a span of `n` steps with `n % k == 0` delivers no duplicate final
 /// sample).
 #[derive(Debug)]
 pub struct ObserveEvery<O> {
@@ -154,6 +155,53 @@ impl<O: StepObserver> StepObserver for ObserveEvery<O> {
             self.last_forwarded = true;
         }
         self.inner.finish(t_end, y_end);
+    }
+}
+
+/// Recording observer: stores the `begin` sample and every forwarded step
+/// into a [`Trajectory`] — what the solvers' `integrate`/`integrate_with`
+/// entry points return. Wrap it in [`ObserveEvery`] to keep every `k`-th
+/// step only.
+///
+/// `begin` starts a fresh trajectory at the state's dimension, reserving
+/// the capacity hint given to [`Record::with_capacity`].
+#[derive(Debug, Clone)]
+pub struct Record {
+    capacity: usize,
+    traj: Trajectory,
+}
+
+impl Default for Record {
+    fn default() -> Self {
+        Self::with_capacity(0)
+    }
+}
+
+impl Record {
+    /// A recorder that reserves room for `samples` samples (the `begin`
+    /// sample included) when the integration starts.
+    pub fn with_capacity(samples: usize) -> Self {
+        Self {
+            capacity: samples,
+            traj: Trajectory::new(0),
+        }
+    }
+
+    /// Recover the recorded trajectory.
+    pub fn into_trajectory(self) -> Trajectory {
+        self.traj
+    }
+}
+
+impl StepObserver for Record {
+    fn begin(&mut self, t0: f64, y0: &[f64]) {
+        self.traj = Trajectory::with_capacity(y0.len(), self.capacity);
+        self.traj.push_trusted(t0, y0);
+    }
+
+    // Solvers deliver strictly increasing times at a fixed dimension.
+    fn observe_step(&mut self, t: f64, y: &[f64]) {
+        self.traj.push_trusted(t, y);
     }
 }
 
@@ -232,6 +280,20 @@ mod tests {
         feed(&mut obs, 3);
         assert_eq!(obs.steps_seen(), 3);
         assert_eq!(obs.inner().samples.len(), 3);
+    }
+
+    #[test]
+    fn record_stores_begin_and_forwarded_steps() {
+        let mut rec = ObserveEvery::new(Record::with_capacity(4), 4);
+        feed(&mut rec, 10);
+        let traj = rec.into_inner().into_trajectory();
+        assert_eq!(traj.times(), &[0.0, 4.0, 8.0, 10.0]);
+        assert_eq!(traj.last().unwrap(), &[10.0]);
+        // `begin` restarts the recording.
+        let mut rec = Record::default();
+        feed(&mut rec, 3);
+        feed(&mut rec, 2);
+        assert_eq!(rec.into_trajectory().times(), &[0.0, 1.0, 2.0]);
     }
 
     #[test]

@@ -103,8 +103,9 @@ impl Trajectory {
     }
 
     /// Append a sample whose invariants the caller upholds (`y.len() ==
-    /// dim`, `t` strictly increasing) — used by the solver hot loops,
-    /// which maintain both by construction. Checked in debug builds.
+    /// dim`, `t` strictly increasing) — used by the recording observer,
+    /// fed by solver loops that maintain both by construction. Checked in
+    /// debug builds.
     pub(crate) fn push_trusted(&mut self, t: f64, y: &[f64]) {
         debug_assert_eq!(y.len(), self.dim);
         debug_assert!(self.times.last().is_none_or(|&last| t > last));

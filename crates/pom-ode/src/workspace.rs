@@ -86,11 +86,10 @@ impl ScratchPool {
 /// Reusable scratch memory for one integration at a time.
 ///
 /// Create once (per worker thread, per ensemble, …) and pass to the
-/// `*_with` entry points: [`crate::fixed::FixedStepSolver::integrate_with`],
-/// [`crate::dopri5::Dopri5::integrate_with`],
-/// [`crate::bs23::Bs23::integrate_with`] and
-/// [`crate::dde::DdeRk4::integrate_with`]. The convenience wrappers without
-/// a workspace argument allocate a fresh one internally.
+/// step loops' entry points — `integrate_observed` and the recording
+/// `integrate_with` on [`crate::fixed::FixedStepSolver`],
+/// [`crate::dopri5::Dopri5`] and [`crate::dde::DdeRk4`]. The convenience
+/// wrappers without a workspace argument allocate a fresh one internally.
 #[derive(Debug, Clone, Default)]
 pub struct Workspace {
     stage: ScratchPool,

@@ -3,7 +3,8 @@
 use pom_ode::dde::{DdeRk4, DdeSystem, InitialHistory, PhaseHistory};
 use pom_ode::observe::CollectObserver;
 use pom_ode::{
-    Bs23, Dopri5, Euler, FixedStepSolver, FnSystem, Heun, ObserveEvery, Rk4, Trajectory, Workspace,
+    Dopri5, Euler, FixedStepSolver, FnSystem, Heun, ObserveEvery, Record, Rk4, Trajectory,
+    Workspace,
 };
 use proptest::prelude::*;
 
@@ -138,7 +139,7 @@ proptest! {
 
 proptest! {
     /// A reused (dirty) workspace produces bitwise identical trajectories
-    /// to the fresh-allocation path, for every fixed stepper.
+    /// to the fresh-allocation path, full and thinned.
     #[test]
     fn workspace_reuse_bitwise_identical_fixed(
         a in -2.0f64..2.0,
@@ -159,35 +160,20 @@ proptest! {
             .integrate_with(&decoy, 0.0, &[1.0, 0.0, 1.0], 1.0, &mut ws)
             .unwrap();
 
-        for_each_stepper(|solver_h| {
-            let fresh = solver_h.integrate(&sys, 0.0, &[y0], t_end).unwrap();
-            let reused = solver_h
-                .integrate_with(&sys, 0.0, &[y0], t_end, &mut ws)
-                .unwrap();
-            assert!(fresh == reused, "workspace reuse changed the trajectory");
-        }, h);
-    }
-
-    /// `integrate_many` over an ensemble equals N sequential `integrate`
-    /// calls, bitwise, and preserves input order.
-    #[test]
-    fn integrate_many_matches_sequential(
-        a in -1.0f64..1.0,
-        inits in prop::collection::vec(0.1f64..5.0, 1..8),
-        h in 0.02f64..0.2,
-    ) {
-        let sys = linear_sys(a);
         let solver = FixedStepSolver::new(Rk4, h).unwrap();
-        let ensemble: Vec<Vec<f64>> = inits.iter().map(|&y| vec![y]).collect();
-        let mut ws = Workspace::new();
-        let batched = solver
-            .integrate_many(&sys, 0.0, &ensemble, 2.0, &mut ws)
-            .unwrap();
-        prop_assert_eq!(batched.len(), ensemble.len());
-        for (y0, traj) in ensemble.iter().zip(&batched) {
-            let solo = solver.integrate(&sys, 0.0, y0, 2.0).unwrap();
-            prop_assert!(&solo == traj, "batched member diverged from sequential run");
-        }
+        let fresh = solver.integrate(&sys, 0.0, &[y0], t_end).unwrap();
+        let reused = solver.integrate_with(&sys, 0.0, &[y0], t_end, &mut ws).unwrap();
+        prop_assert!(fresh == reused, "workspace reuse changed the trajectory");
+
+        let thinned = |ws: &mut Workspace| {
+            let mut rec = ObserveEvery::new(Record::default(), 3);
+            solver.integrate_observed(&sys, 0.0, &[y0], t_end, ws, &mut rec).unwrap();
+            rec.into_inner().into_trajectory()
+        };
+        prop_assert!(
+            thinned(&mut Workspace::new()) == thinned(&mut ws),
+            "workspace reuse changed the thinned trajectory"
+        );
     }
 
     /// Dopri5: the monomorphized workspace path is bitwise identical to
@@ -235,12 +221,12 @@ proptest! {
     }
 }
 
-// --- Observed fast paths: no trajectory, bitwise identical states ---
+// --- Recording vs the raw observer stream ---
 
 proptest! {
-    /// The fixed-step observed driver delivers exactly the samples the
-    /// recording driver stores (record_every = 1), bitwise, and its
-    /// summary repeats the final sample.
+    /// The recorded trajectory holds exactly the samples the raw
+    /// observer stream delivers (`begin` plus every step), bitwise, and
+    /// the observed summary repeats the final sample.
     #[test]
     fn fixed_observed_matches_recorded_samples(
         a in -2.0f64..2.0,
@@ -270,7 +256,7 @@ proptest! {
         prop_assert_eq!(sum.n_steps, traj.len() - 1);
     }
 
-    /// Dopri5's observed driver runs the identical step control: same
+    /// Dopri5's dense path and observed path share the step loop: same
     /// accepted steps, bitwise-identical final state, one observer sample
     /// per dense segment.
     #[test]
@@ -287,31 +273,10 @@ proptest! {
         prop_assert_eq!(sum.y_end[0].to_bits(), sol.y_end()[0].to_bits());
         prop_assert_eq!(obs.samples.len(), sol.n_segments());
         // Each observed sample sits at a segment end with the state the
-        // recording path accepted there.
+        // dense path accepted there.
         for (seg, (t, _)) in sol.segments().iter().zip(&obs.samples) {
             prop_assert_eq!(seg.t1().to_bits(), t.to_bits());
         }
-    }
-
-    /// Bs23's observed driver: same accepted samples as the recording
-    /// path, bitwise.
-    #[test]
-    fn bs23_observed_matches_recorded(a in -1.5f64..1.5, y0 in 0.2f64..5.0) {
-        let sys = linear_sys(a);
-        let solver = Bs23::new().rtol(1e-6).atol(1e-8);
-        let (traj, stats) = solver.integrate(&sys, 0.0, &[y0], 3.0).unwrap();
-        let mut ws = Workspace::new();
-        let mut obs = CollectObserver::default();
-        let (sum, ostats) = solver
-            .integrate_observed(&sys, 0.0, &[y0], 3.0, &mut ws, &mut obs)
-            .unwrap();
-        prop_assert_eq!(stats, ostats);
-        prop_assert_eq!(obs.samples.len() + 1, traj.len());
-        for (k, (t, s)) in obs.samples.iter().enumerate() {
-            prop_assert_eq!(t.to_bits(), traj.time(k + 1).to_bits());
-            prop_assert_eq!(s[0].to_bits(), traj.state(k + 1)[0].to_bits());
-        }
-        prop_assert_eq!(sum.y_end[0].to_bits(), traj.last().unwrap()[0].to_bits());
     }
 
     /// The DDE observed driver with a pruned history window covering the
@@ -349,14 +314,29 @@ proptest! {
     }
 }
 
-// --- record_every end conventions: ODE and DDE agree, no duplicates ---
+// --- Decimated recording: ODE and DDE agree, no duplicates ---
+
+/// Record every `k`-th step (plus the final one) of a fixed-step run.
+fn record_every(solver: &FixedStepSolver<Rk4>, a: f64, t_end: f64, k: usize) -> Trajectory {
+    let mut rec = ObserveEvery::new(Record::default(), k);
+    solver
+        .integrate_observed(
+            &linear_sys(a),
+            0.0,
+            &[1.0],
+            t_end,
+            &mut Workspace::new(),
+            &mut rec,
+        )
+        .unwrap();
+    rec.into_inner().into_trajectory()
+}
 
 proptest! {
-    /// Satellite regression: the "final state is always recorded"
-    /// convention must not duplicate the last sample when the step count
-    /// is an exact multiple of `record_every`, the recorded grid must be
-    /// exactly {0, k, 2k, …, n_steps}, and the new ODE knob must agree
-    /// with the DDE convention sample-for-sample.
+    /// The "final state is always recorded" convention must not duplicate
+    /// the last sample when the step count is an exact multiple of `k`,
+    /// the recorded grid must be exactly {0, k, 2k, …, n_steps}, and the
+    /// ODE and DDE solvers must agree sample-for-sample.
     #[test]
     fn record_every_conventions_agree(
         a in -1.0f64..1.0,
@@ -367,9 +347,7 @@ proptest! {
         let n_steps = (t_end / h).ceil().max(1.0) as usize;
         let expected_len = 1 + n_steps / k + usize::from(!n_steps.is_multiple_of(k));
 
-        let sys = linear_sys(a);
-        let ode = FixedStepSolver::new(Rk4, h).unwrap().record_every(k)
-            .integrate(&sys, 0.0, &[1.0], t_end).unwrap();
+        let ode = record_every(&FixedStepSolver::new(Rk4, h).unwrap(), a, t_end, k);
 
         struct OdeAsDde<F: Fn(f64, &[f64], &mut [f64])>(FnSystem<F>);
         impl<F: Fn(f64, &[f64], &mut [f64])> DdeSystem for OdeAsDde<F> {
@@ -379,9 +357,19 @@ proptest! {
                 self.0.eval(t, y, d)
             }
         }
-        let (dde, _) = DdeRk4::new(h).unwrap().record_every(k)
-            .integrate(&OdeAsDde(linear_sys(a)), 0.0, InitialHistory::Constant(vec![1.0]), t_end)
+        let mut rec = ObserveEvery::new(Record::default(), k);
+        DdeRk4::new(h).unwrap()
+            .integrate_observed(
+                &OdeAsDde(linear_sys(a)),
+                0.0,
+                InitialHistory::Constant(vec![1.0]),
+                t_end,
+                0.0, // the system never looks back
+                &mut Workspace::new(),
+                &mut rec,
+            )
             .unwrap();
+        let dde = rec.into_inner().into_trajectory();
 
         for traj in [&ode, &dde] {
             prop_assert_eq!(traj.len(), expected_len,
@@ -404,8 +392,8 @@ proptest! {
         }
     }
 
-    /// ObserveEvery follows the record_every convention exactly: the
-    /// decimated observer stream equals the decimated trajectory.
+    /// A decimated recording equals the raw observer stream decimated by
+    /// hand: `begin`, steps k, 2k, …, and the final step.
     #[test]
     fn observe_every_matches_record_every(
         a in -1.0f64..1.0,
@@ -413,29 +401,26 @@ proptest! {
         t_end in 0.5f64..5.0,
         k in 1usize..9,
     ) {
-        let sys = linear_sys(a);
         let solver = FixedStepSolver::new(Rk4, h).unwrap();
-        let traj = solver.clone().record_every(k).integrate(&sys, 0.0, &[1.0], t_end).unwrap();
-        let mut ws = Workspace::new();
-        let mut obs = ObserveEvery::new(CollectObserver::default(), k);
-        solver.integrate_observed(&sys, 0.0, &[1.0], t_end, &mut ws, &mut obs).unwrap();
-        let collected = obs.into_inner();
-        // Trajectory: initial sample + decimated steps. Observer: begin +
-        // decimated steps. Same grid.
-        prop_assert_eq!(collected.samples.len() + 1, traj.len());
-        for (s, k_idx) in collected.samples.iter().zip(1..traj.len()) {
-            prop_assert_eq!(s.0.to_bits(), traj.time(k_idx).to_bits());
-            prop_assert_eq!(s.1[0].to_bits(), traj.state(k_idx)[0].to_bits());
+        let traj = record_every(&solver, a, t_end, k);
+        let mut raw = CollectObserver::default();
+        solver
+            .integrate_observed(&linear_sys(a), 0.0, &[1.0], t_end, &mut Workspace::new(), &mut raw)
+            .unwrap();
+        let n = raw.samples.len();
+        let mut want: Vec<&(f64, Vec<f64>)> = vec![];
+        for (step, sample) in raw.samples.iter().enumerate() {
+            if (step + 1) % k == 0 || step + 1 == n {
+                want.push(sample);
+            }
+        }
+        let (t0, s0) = raw.initial.expect("begin called");
+        prop_assert_eq!(traj.len(), want.len() + 1);
+        prop_assert_eq!(t0.to_bits(), traj.time(0).to_bits());
+        prop_assert_eq!(s0[0].to_bits(), traj.state(0)[0].to_bits());
+        for (i, (t, s)) in want.into_iter().enumerate() {
+            prop_assert_eq!(t.to_bits(), traj.time(i + 1).to_bits());
+            prop_assert_eq!(s[0].to_bits(), traj.state(i + 1)[0].to_bits());
         }
     }
-}
-
-/// Run `f` once per fixed-step method at step size `h` (monomorphized per
-/// stepper, so each solver type gets its own instantiation).
-fn for_each_stepper(mut f: impl FnMut(&FixedStepSolver<Rk4>), h: f64) {
-    // Rk4 has the most scratch slices and the FSAL-free layout; Euler and
-    // Heun share the same driver code path, covered via Rk4 here and by
-    // their convergence tests elsewhere. Exercise thinned recording too.
-    f(&FixedStepSolver::new(Rk4, h).unwrap());
-    f(&FixedStepSolver::new(Rk4, h).unwrap().record_every(3));
 }
