@@ -20,8 +20,7 @@ mod wave_sweep;
 use std::fmt;
 
 use pom_sweep::registry::{toolkit, CommandSpec, Parsed};
-
-use crate::config::ConfigError;
+use pom_sweep::ArgError;
 
 /// One command's entry point.
 pub type RunFn = fn(&Parsed) -> Result<String, CliError>;
@@ -57,7 +56,7 @@ pub enum CliError {
     /// key's doc line ([`CommandSpec::explain`]).
     Args(String),
     /// Bad `key=value` arguments (semantic checks past the parser).
-    Config(ConfigError),
+    Config(ArgError),
     /// A model/simulator run failed.
     Run(String),
 }
@@ -81,8 +80,8 @@ impl fmt::Display for CliError {
 
 impl std::error::Error for CliError {}
 
-impl From<ConfigError> for CliError {
-    fn from(e: ConfigError) -> Self {
+impl From<ArgError> for CliError {
+    fn from(e: ArgError) -> Self {
         CliError::Config(e)
     }
 }

@@ -11,11 +11,11 @@ use pom_core::{
 };
 use pom_noise::{DelayEvent, OneOffDelays, WhiteJitter};
 use pom_sweep::registry::Parsed;
+use pom_sweep::ArgError;
 use pom_topology::Topology;
 use pom_viz::{ascii_chart, circle_ascii, phase_heatmap_ascii};
 
 use super::CliError;
-use crate::config::ConfigError;
 
 pub fn run(p: &Parsed) -> Result<String, CliError> {
     let n = p.usize("n").max(2);
@@ -48,7 +48,7 @@ pub fn run(p: &Parsed) -> Result<String, CliError> {
 
     let replicas = p.usize("replicas");
     if replicas == 0 {
-        return Err(CliError::Config(ConfigError::BadValue {
+        return Err(CliError::Config(ArgError::BadValue {
             key: "replicas".into(),
             value: "0".into(),
             expected: "an integer ≥ 1",
@@ -238,7 +238,7 @@ fn ensemble_report(
     let mut opts = SimOptions::new(t_end);
     if let Some(h) = p.opt_f64("h") {
         if !(h.is_finite() && h > 0.0) {
-            return Err(CliError::Config(ConfigError::BadValue {
+            return Err(CliError::Config(ArgError::BadValue {
                 key: "h".into(),
                 value: h.to_string(),
                 expected: "a positive step size",

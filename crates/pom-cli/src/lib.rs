@@ -34,7 +34,5 @@
 //! identical for any `threads=` value.
 
 pub mod cmd;
-pub mod config;
 
 pub use cmd::{help, run_cli, CliError};
-pub use config::{Config, ConfigError};

@@ -1,31 +1,21 @@
-//! Natively batched lockstep ensembles of [`Pom`] models.
+//! Lockstep ensembles of [`Pom`] models.
 //!
 //! A [`PomEnsemble`] advances R replicas of one scenario — identical
-//! structure (size, topology, potential, kernel, parameters), differing
-//! only in their noise realizations — as a single interleaved
-//! `n·R`-dimensional system (see [`pom_ode::ensemble`] for the layout).
-//! Unlike the gather/scatter reference adapter
-//! ([`pom_ode::EnsembleSystem`]), the RHS here is evaluated *batched*:
-//!
-//! * the polynomial sin/cos array pass runs once over the `n·R`
-//!   interleaved state (same per-element values — the pass is
-//!   position-independent);
-//! * the ring-stencil walk visits each oscillator row once, accumulating
-//!   all R replicas from contiguous `r`-wide windows — one pass over
-//!   memory instead of one per offset, which is where the ensemble
-//!   speedup comes from (the single-replica walk re-streams the whole
-//!   `θ/sin/cos/out` working set per stencil offset);
-//! * `ChunkPool` row chunks carry R replicas each, so fork–join overhead
-//!   amortizes across the batch.
+//! structure, differing only in their noise realizations — as a single
+//! interleaved `n·R`-dimensional system (see [`pom_ode::ensemble`] for the
+//! layout). It has no right-hand side of its own: it evaluates the rows of
+//! a single [`Pom`] (`rhs.rs`) at width R instead of width one, so one
+//! sin/cos pass, one stencil walk, one `τ` evaluation per shared-delay
+//! pair and one `ChunkPool` fork–join serve the whole batch.
 //!
 //! ## Bitwise contract
 //!
 //! `simulate_observed_ws` is bitwise identical to R independent
 //! [`Pom::simulate_observed_ws`] calls — per replica: same final state,
-//! same observer callback sequence. The batched kernels preserve each
-//! component's accumulation order (see `kernel.rs`), fixed-step RK stage
-//! arithmetic is elementwise, and the per-replica observer fan-out
-//! de-interleaves states before the probes see them. The property suite
+//! same observer callback sequence. The rows keep each component's
+//! accumulation order at every width, fixed-step RK stage arithmetic is
+//! elementwise, and the per-replica observer fan-out de-interleaves
+//! states before the probes see them. The property suite
 //! (`tests/ensemble_bitwise.rs`) pins this per kernel, per solver, per
 //! thread count.
 //!
@@ -35,19 +25,17 @@
 //! per-replica integration there (trivially bitwise — it *is* the
 //! independent path).
 
-use std::f64::consts::TAU;
 use std::sync::Mutex;
 
-use pom_kernels::par::DisjointSliceMut;
 use pom_ode::dde::{DdeRk4, DdeSystem, InitialHistory, PhaseHistory};
 use pom_ode::{
     EnsembleLayout, EnsembleObserver, FixedStepSolver, OdeError, OdeSystem, Rk4, StepObserver,
 };
 
 use crate::initial::InitialCondition;
-use crate::kernel::{self, DesyncPair, RhsKernel, SinPair, SplitScratch};
-use crate::model::{Pom, MIN_PAR_ROWS};
-use crate::potential::Potential;
+use crate::kernel::SplitScratch;
+use crate::model::Pom;
+use crate::rhs::Rhs;
 use crate::simulate::{SimOptions, SimSummary, SimWorkspace, SolverChoice};
 
 /// Count one ensemble run and its replica total; no-op when
@@ -80,11 +68,11 @@ fn count_ensemble(replicas: usize) {
 /// [`PomEnsemble::simulate_observed_ws`].
 pub struct PomEnsemble {
     members: Vec<Pom>,
-    /// Batched sin/cos scratch (`2·n·R`), separate from the members' own
-    /// single-run scratch.
+    /// Batched RHS scratch (`2·n·R` for the split kernel), separate from
+    /// the members' own single-run scratch.
     split_scratch: Mutex<SplitScratch>,
     /// Every member's delay field has the same fingerprint (same modelled
-    /// machine): the DDE path then evaluates `τ_ij(t)` and the history
+    /// machine): the delay rows then evaluate `τ_ij(t)` and the history
     /// lookup once per pair instead of once per replica.
     shared_delays: bool,
 }
@@ -103,41 +91,38 @@ impl PomEnsemble {
     /// Batch `members` into one lockstep ensemble.
     ///
     /// Every member must share the structural configuration — size,
-    /// scalar parameters, potential, kernel, coupling normalization and
-    /// the presence/absence of delays and local noise. (They are expected
-    /// to differ only in noise *realizations*, i.e. seeds.) Panics on a
-    /// mismatch: members of one ensemble come from one scenario by
-    /// construction, so a mismatch is a caller bug, not input data.
+    /// topology, scalar parameters, potential, kernel, coupling
+    /// normalization and the presence/absence of delays and local noise.
+    /// (They are expected to differ only in noise *realizations*, i.e.
+    /// seeds.) Panics on a mismatch: members of one ensemble come from one
+    /// scenario by construction, so a mismatch is a caller bug, not input
+    /// data.
     pub fn new(members: Vec<Pom>) -> Self {
         assert!(!members.is_empty(), "ensemble needs at least one member");
         let m0 = &members[0];
         for (rep, m) in members.iter().enumerate().skip(1) {
-            assert_eq!(m.n(), m0.n(), "replica {rep}: oscillator count differs");
-            assert_eq!(
-                m.params(),
-                m0.params(),
-                "replica {rep}: scalar parameters differ"
-            );
-            assert_eq!(
-                m.potential(),
-                m0.potential(),
-                "replica {rep}: potential differs"
-            );
-            assert_eq!(m.kernel(), m0.kernel(), "replica {rep}: kernel differs");
-            assert_eq!(
-                m.coupling_cache, m0.coupling_cache,
-                "replica {rep}: coupling normalization differs"
-            );
-            assert_eq!(
-                m.has_delays(),
-                m0.has_delays(),
-                "replica {rep}: delay-path presence differs"
-            );
-            assert_eq!(
-                m.has_local_noise(),
-                m0.has_local_noise(),
-                "replica {rep}: local-noise presence differs"
-            );
+            let checks = [
+                (m.n() == m0.n(), "oscillator count differs"),
+                (m.topology() == m0.topology(), "topology differs"),
+                (m.params() == m0.params(), "scalar parameters differ"),
+                (m.potential() == m0.potential(), "potential differs"),
+                (m.kernel() == m0.kernel(), "kernel differs"),
+                (
+                    m.coupling_cache == m0.coupling_cache,
+                    "coupling normalization differs",
+                ),
+                (
+                    m.has_delays() == m0.has_delays(),
+                    "delay-path presence differs",
+                ),
+                (
+                    m.has_local_noise() == m0.has_local_noise(),
+                    "local-noise presence differs",
+                ),
+            ];
+            for (same, what) in checks {
+                assert!(same, "replica {rep}: {what}");
+            }
         }
         let shared_delays = match m0.interaction_noise.fingerprint() {
             Some(fp) => members
@@ -177,240 +162,14 @@ impl PomEnsemble {
         self.members[0].has_delays()
     }
 
-    /// Run the batched chunk loop over oscillator rows: each chunk covers
-    /// `rows.len() · R` contiguous interleaved elements. Chunk boundaries
-    /// cannot change results (disjoint writes, no cross-row arithmetic),
-    /// exactly as in the single-replica model.
-    #[inline]
-    fn for_row_chunks(&self, dtheta: &mut [f64], rows: impl Fn(usize, &mut [f64]) + Sync) {
-        let n = self.n();
-        let r = self.replicas();
-        match &self.members[0].pool {
-            Some(pool) if n >= MIN_PAR_ROWS => {
-                let shared = DisjointSliceMut::new(&mut dtheta[..n * r]);
-                pool.run(n, &|_slot, range| {
-                    // SAFETY: `ChunkPool::run` hands each slot a disjoint
-                    // row range; scaling by `r` keeps element ranges
-                    // disjoint.
-                    let chunk = unsafe { shared.range_mut(range.start * r..range.end * r) };
-                    rows(range.start, chunk);
-                });
-            }
-            _ => rows(0, &mut dtheta[..n * r]),
+    /// All members as one view at width `R`.
+    fn rhs(&self) -> Rhs<'_, usize> {
+        Rhs {
+            members: &self.members,
+            scratch: &self.split_scratch,
+            shared_delays: self.shared_delays,
+            width: self.replicas(),
         }
-    }
-
-    /// Batched `Exact` row loop: one CSR scan per row feeds all R
-    /// replicas (neighbor-middle / replica-inner, ascending-neighbor per
-    /// component — the single-replica accumulation order).
-    fn exact_rows(&self, t: f64, theta: &[f64], dtheta: &mut [f64], v: impl Fn(f64) -> f64 + Sync) {
-        let m0 = &self.members[0];
-        let r = self.replicas();
-        let csr = m0.topology.csr();
-        let noise_free: Vec<bool> = self
-            .members
-            .iter()
-            .map(|m| m.local_noise.is_null())
-            .collect();
-        let omega = TAU / m0.params.cycle_time().max(m0.min_cycle);
-        let members = &self.members;
-        self.for_row_chunks(dtheta, |start, out| {
-            for slot in 0..out.len() / r {
-                let i = start + slot;
-                let out_row = &mut out[slot * r..(slot + 1) * r];
-                out_row.fill(0.0);
-                let ti = &theta[i * r..(i + 1) * r];
-                for &j in csr.row(i) {
-                    let j = j as usize;
-                    let tj = &theta[j * r..(j + 1) * r];
-                    for rep in 0..r {
-                        out_row[rep] += v(tj[rep] - ti[rep]);
-                    }
-                }
-                for (rep, d) in out_row.iter_mut().enumerate() {
-                    let intrinsic = if noise_free[rep] {
-                        omega
-                    } else {
-                        members[rep].intrinsic(i, t)
-                    };
-                    *d = intrinsic + m0.coupling_cache[i] * *d;
-                }
-            }
-        });
-    }
-
-    /// Batched split-kernel row loop: one sin/cos pass over the `n·R`
-    /// interleaved state, then the batched stencil/CSR accumulation and
-    /// per-replica intrinsic finalization.
-    fn split_rows<P: kernel::PairTerm>(
-        &self,
-        p: P,
-        k: f64,
-        t: f64,
-        theta: &[f64],
-        dtheta: &mut [f64],
-    ) {
-        let m0 = &self.members[0];
-        let n = self.n();
-        let r = self.replicas();
-        let nr = n * r;
-        let mut guard = self.split_scratch.lock().expect("ensemble split scratch");
-        let (s, c) = guard.halves(nr);
-
-        match &m0.pool {
-            Some(pool) if n >= MIN_PAR_ROWS => {
-                let s_shared = DisjointSliceMut::new(s);
-                let c_shared = DisjointSliceMut::new(c);
-                pool.run(n, &|_slot, range| {
-                    let er = range.start * r..range.end * r;
-                    // SAFETY: disjoint row ranges per slot, scaled to
-                    // disjoint element ranges.
-                    let (s_chunk, c_chunk) = unsafe {
-                        (
-                            s_shared.range_mut(er.clone()),
-                            c_shared.range_mut(er.clone()),
-                        )
-                    };
-                    kernel::sincos_pass(k, &theta[er], s_chunk, c_chunk);
-                });
-            }
-            _ => kernel::sincos_pass(k, &theta[..nr], s, c),
-        }
-
-        let (s, c) = (&*s, &*c);
-        let noise_free: Vec<bool> = self
-            .members
-            .iter()
-            .map(|m| m.local_noise.is_null())
-            .collect();
-        let all_noise_free = noise_free.iter().all(|&b| b);
-        let omega = TAU / m0.params.cycle_time().max(m0.min_cycle);
-        let stencil = m0.stencil.as_ref();
-        let csr = m0.topology.csr();
-        let members = &self.members;
-        self.for_row_chunks(dtheta, |start, out| {
-            let rows = start..start + out.len() / r;
-            match stencil {
-                Some(st) => {
-                    kernel::split_rows_stencil_ensemble(p, st, r, theta, s, c, rows.clone(), out)
-                }
-                None => kernel::split_rows_csr_ensemble(p, csr, r, theta, s, c, rows.clone(), out),
-            }
-            if all_noise_free {
-                kernel::finalize_rows_ensemble(omega, &m0.coupling_cache[rows], r, out);
-            } else {
-                for slot in 0..out.len() / r {
-                    let i = start + slot;
-                    for (rep, d) in out[slot * r..(slot + 1) * r].iter_mut().enumerate() {
-                        let intrinsic = if noise_free[rep] {
-                            omega
-                        } else {
-                            members[rep].intrinsic(i, t)
-                        };
-                        *d = intrinsic + m0.coupling_cache[i] * *d;
-                    }
-                }
-            }
-        });
-    }
-
-    /// Batched no-delay RHS: the [`Pom::rhs_ode`]-equivalent dispatch on
-    /// (kernel, potential).
-    fn rhs_ode_batched(&self, t: f64, theta: &[f64], dtheta: &mut [f64]) {
-        let m0 = &self.members[0];
-        match (m0.kernel, m0.potential) {
-            (RhsKernel::SinCosSplit, Potential::KuramotoSin) => {
-                self.split_rows(SinPair, 1.0, t, theta, dtheta);
-            }
-            (RhsKernel::SinCosSplit, Potential::Desync { sigma }) => {
-                let k = 1.5 * std::f64::consts::PI / sigma;
-                self.split_rows(DesyncPair { sigma }, k, t, theta, dtheta);
-            }
-            (_, Potential::Tanh) => self.exact_rows(t, theta, dtheta, |x| x.tanh()),
-            (_, Potential::Desync { sigma }) => {
-                let k = 1.5 * std::f64::consts::PI / sigma;
-                self.exact_rows(t, theta, dtheta, move |x| {
-                    if x.abs() < sigma {
-                        -(k * x).sin()
-                    } else {
-                        x.signum()
-                    }
-                });
-            }
-            (_, Potential::KuramotoSin) => self.exact_rows(t, theta, dtheta, |x| x.sin()),
-        }
-    }
-
-    /// Batched delay RHS: per replica, the partner phase is read from the
-    /// interleaved history at `(j, rep)` and the replica's own
-    /// interaction-noise delay; ascending-neighbor per component, as in
-    /// [`Pom::rhs_dde`].
-    ///
-    /// When a pair's delay agrees bitwise across all replicas — the common
-    /// case of deterministic hardware latencies shared by the whole
-    /// ensemble — the partner phases come from one
-    /// [`PhaseHistory::sample_run`] call: the knot search and Hermite
-    /// coefficients are paid once instead of once per replica, which is
-    /// where the delay-path ensemble speedup comes from. The sampled
-    /// values (and the replica-divergent fallback) are bitwise the
-    /// single-replica ones, and per component the accumulation stays
-    /// ascending-neighbor onto a zeroed accumulator.
-    fn rhs_dde_batched(&self, t: f64, theta: &[f64], hist: &dyn PhaseHistory, dtheta: &mut [f64]) {
-        let m0 = &self.members[0];
-        let r = self.replicas();
-        let csr = m0.topology.csr();
-        let omega = TAU / m0.params.cycle_time().max(m0.min_cycle);
-        let members = &self.members;
-        self.for_row_chunks(dtheta, |start, out| {
-            let mut taus = vec![0.0f64; r];
-            let mut phases = vec![0.0f64; r];
-            for slot in 0..out.len() / r {
-                let i = start + slot;
-                let out_row = &mut out[slot * r..(slot + 1) * r];
-                out_row.fill(0.0);
-                let ti = &theta[i * r..(i + 1) * r];
-                for &j in csr.row(i) {
-                    let j = j as usize;
-                    if self.shared_delays {
-                        // One field evaluation covers the batch: the
-                        // members' fingerprints guarantee identical τ.
-                        taus.fill(m0.interaction_noise.tau(i, j, t));
-                    } else {
-                        for (rep, tau) in taus.iter_mut().enumerate() {
-                            *tau = members[rep].interaction_noise.tau(i, j, t);
-                        }
-                    }
-                    let tau0 = taus[0];
-                    if taus.iter().all(|tau| tau.to_bits() == tau0.to_bits()) {
-                        if tau0 > 0.0 {
-                            hist.sample_run(t - tau0, j * r, &mut phases);
-                        } else {
-                            phases.copy_from_slice(&theta[j * r..(j + 1) * r]);
-                        }
-                    } else {
-                        for (rep, ph) in phases.iter_mut().enumerate() {
-                            *ph = if taus[rep] > 0.0 {
-                                hist.sample(t - taus[rep], j * r + rep)
-                            } else {
-                                theta[j * r + rep]
-                            };
-                        }
-                    }
-                    for ((d, &ph), &th) in out_row.iter_mut().zip(&*phases).zip(ti) {
-                        *d += m0.potential.value(ph - th);
-                    }
-                }
-                for (rep, d) in out_row.iter_mut().enumerate() {
-                    let m = &members[rep];
-                    let intrinsic = if m.local_noise.is_null() {
-                        omega
-                    } else {
-                        m.intrinsic(i, t)
-                    };
-                    *d = intrinsic + m0.coupling_cache[i] * *d;
-                }
-            }
-        });
     }
 
     /// Integrate all replicas while streaming each replica's accepted
@@ -516,7 +275,7 @@ impl OdeSystem for PomEnsemble {
     }
 
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.rhs_ode_batched(t, y, dydt);
+        self.rhs().ode(t, y, dydt);
     }
 }
 
@@ -526,7 +285,7 @@ impl DdeSystem for PomEnsemble {
     }
 
     fn eval(&self, t: f64, y: &[f64], hist: &dyn PhaseHistory, dydt: &mut [f64]) {
-        self.rhs_dde_batched(t, y, hist, dydt);
+        self.rhs().dde(t, y, hist, dydt);
     }
 }
 
@@ -534,6 +293,7 @@ impl DdeSystem for PomEnsemble {
 mod tests {
     use super::*;
     use crate::builder::PomBuilder;
+    use crate::potential::Potential;
     use pom_topology::Topology;
 
     fn member(n: usize, seed: u64) -> Pom {

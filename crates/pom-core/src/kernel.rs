@@ -21,7 +21,10 @@
 //!   runtime-dispatched to an AVX2+FMA version where the CPU has one);
 //! * the split-kernel row loops over either a [`pom_topology::RingStencil`]
 //!   (index-free, wrap rows peeled off the contiguous bulk) or a flat
-//!   [`pom_topology::CsrView`].
+//!   [`pom_topology::CsrView`], plus the noise-free row finalization —
+//!   one body each, generic over a replica `Width`: a single model runs
+//!   them at the compile-time width `One` (the single-replica loops), a
+//!   lockstep ensemble at its replica count over the interleaved state.
 //!
 //! ## Accuracy policy
 //!
@@ -101,9 +104,11 @@ impl RhsKernel {
     }
 }
 
-/// Reusable `sin`/`cos` arrays for the split kernel, one pair of slots per
-/// oscillator. Lives behind a `Mutex` in the model because the ODE-solver
-/// contract evaluates the RHS through `&self`.
+/// Reusable RHS scratch, two equal halves: the split kernel's `sin`/`cos`
+/// arrays (one slot each per state component), or the delay path's
+/// per-slot `τ`/phase windows. Lives behind a `Mutex` in the model and
+/// the ensemble because the ODE-solver contract evaluates the RHS through
+/// `&self`.
 #[derive(Debug, Default)]
 pub(crate) struct SplitScratch {
     buf: Vec<f64>,
@@ -263,100 +268,60 @@ impl PairTerm for DesyncPair {
     }
 }
 
-/// Accumulate the raw coupling sums of `rows` (a contiguous row range)
-/// into `out` (`out[i - rows.start]`), iterating an index-free ring
-/// stencil: for each offset the neighbor is `i + o` with a single peeled
-/// wrap segment — no index array, no gather.
-#[inline(always)]
-fn split_rows_stencil_body<P: PairTerm>(
-    p: P,
-    stencil: &RingStencil,
-    theta: &[f64],
-    s: &[f64],
-    c: &[f64],
-    rows: std::ops::Range<usize>,
-    out: &mut [f64],
-) {
-    let n = stencil.n();
-    let lo = rows.start;
-    let out = &mut out[..rows.len()];
-    out.fill(0.0);
-    for &o in stencil.offsets() {
-        let o = o as usize;
-        // Rows i with i + o < n read neighbor i + o; the rest wrap. Both
-        // segments are contiguous streams (neighbor = i + const), which
-        // is the point of the stencil path: no index array, no gather.
-        let wrap = n - o;
-        let split_at = rows.end.min(wrap).max(lo);
-        let (bulk, wrapped) = out.split_at_mut(split_at - lo);
-        for (v, i) in bulk.iter_mut().zip(lo..) {
-            let j = i + o;
-            *v += p.eval(theta[j] - theta[i], s[j], c[j], s[i], c[i]);
-        }
-        for (v, i) in wrapped.iter_mut().zip(split_at..) {
-            let j = i + o - n;
-            *v += p.eval(theta[j] - theta[i], s[j], c[j], s[i], c[i]);
-        }
+/// Replica count `R` of an interleaved state (component `(i, rep)` at
+/// `i·R + rep`): [`One`] for a single run, whose constant `get` folds
+/// every `·R` scale away, or a runtime `usize` for a lockstep ensemble.
+pub(crate) trait Width: Copy + Send + Sync {
+    fn get(self) -> usize;
+}
+
+/// Width fixed at compile time to one replica.
+#[derive(Clone, Copy)]
+pub(crate) struct One;
+
+impl Width for One {
+    #[inline(always)]
+    fn get(self) -> usize {
+        1
     }
 }
 
-/// Accumulate the raw coupling sums of `rows` into `out`, walking the flat
-/// CSR arrays (arbitrary topologies).
-#[inline(always)]
-fn split_rows_csr_body<P: PairTerm>(
-    p: P,
-    csr: CsrView<'_>,
-    theta: &[f64],
-    s: &[f64],
-    c: &[f64],
-    rows: std::ops::Range<usize>,
-    out: &mut [f64],
-) {
-    for (slot, i) in rows.enumerate() {
-        let (ti, si, ci) = (theta[i], s[i], c[i]);
-        let mut acc = 0.0;
-        for &j in csr.row(i) {
-            let j = j as usize;
-            acc += p.eval(theta[j] - ti, s[j], c[j], si, ci);
-        }
-        out[slot] = acc;
+impl Width for usize {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self
     }
 }
 
-/// Ensemble twin of [`split_rows_stencil_body`]: `r` replicas interleaved
-/// (component `(i, rep)` at `i·r + rep`). Interleaving keeps the stencil
-/// walk a constant-offset stream — element `e = i·r + rep` reads its
-/// neighbor at `e + o·r` (or `e + o·r − n·r` past the wrap), so the body
-/// is literally the single-replica body with every index scaled by `r`:
-/// offset-outer, two contiguous segments per offset, no index array, no
-/// gather, and the same vectorization.
+/// Accumulate the raw coupling sums of `rows` (a contiguous row range,
+/// `R` interleaved replicas each) into `out` (element `(i − rows.start)·R
+/// + rep`), iterating an index-free ring stencil.
 ///
-/// Bitwise contract: per component `(i, rep)` the terms are added in
-/// `stencil.offsets()` order onto a zeroed accumulator — exactly the
-/// per-element sequence of the single-replica body. Memory-roundtripping
-/// the `f64` accumulator between offsets is exact, so batched sums equal
-/// the single-replica sums bitwise.
+/// Offset-outer: element `e = i·R + rep` reads its neighbor at `e + o·R`,
+/// or `e + o·R − n·R` past the wrap. The wrap boundary sits at row
+/// granularity, so both segments are contiguous streams — no index array,
+/// no gather, the same vectorization at every width. Per element the
+/// terms are added in offset order onto a zeroed accumulator.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn split_rows_stencil_ensemble_body<P: PairTerm>(
+fn split_rows_stencil_body<P: PairTerm, W: Width>(
     p: P,
     stencil: &RingStencil,
-    r: usize,
+    w: W,
     theta: &[f64],
     s: &[f64],
     c: &[f64],
     rows: std::ops::Range<usize>,
     out: &mut [f64],
 ) {
+    let r = w.get();
     let n = stencil.n();
     let lo = rows.start;
     let out = &mut out[..rows.len() * r];
     out.fill(0.0);
     for &o in stencil.offsets() {
         let o = o as usize;
-        // Rows i with i + o < n read neighbor i + o; the rest wrap. The
-        // wrap boundary sits at row granularity, so in element space both
-        // segments stay contiguous streams (neighbor = e + o·r − {0, n·r}).
+        // Rows i with i + o < n read neighbor i + o; the rest wrap.
         let wrap = n - o;
         let split_at = rows.end.min(wrap).max(lo);
         let (bulk, wrapped) = out.split_at_mut((split_at - lo) * r);
@@ -371,30 +336,29 @@ fn split_rows_stencil_ensemble_body<P: PairTerm>(
     }
 }
 
-/// Ensemble twin of [`split_rows_csr_body`]: row-outer / neighbor-middle /
-/// replica-inner, so the CSR row scan (pointer chase, index decode) is
-/// paid once per row instead of once per row per replica. Per component
-/// `(i, rep)` the accumulation is ascending-neighbor onto a zeroed
-/// accumulator — the single-replica order, hence bitwise identical sums.
+/// Accumulate the raw coupling sums of `rows` into `out`, walking the flat
+/// CSR arrays (arbitrary topologies). Row-outer, neighbor-middle,
+/// replica-inner: the CSR row scan (pointer chase, index decode) is paid
+/// once per row for all replicas, and per element the terms are added in
+/// ascending-neighbor order onto a zeroed accumulator.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn split_rows_csr_ensemble_body<P: PairTerm>(
+fn split_rows_csr_body<P: PairTerm, W: Width>(
     p: P,
     csr: CsrView<'_>,
-    r: usize,
+    w: W,
     theta: &[f64],
     s: &[f64],
     c: &[f64],
     rows: std::ops::Range<usize>,
     out: &mut [f64],
 ) {
-    let out = &mut out[..rows.len() * r];
-    out.fill(0.0);
-    for (slot, i) in rows.enumerate() {
-        let out_row = &mut out[slot * r..(slot + 1) * r];
+    let r = w.get();
+    for (out_row, i) in out.chunks_exact_mut(r).zip(rows) {
         let ti = &theta[i * r..(i + 1) * r];
         let si = &s[i * r..(i + 1) * r];
         let ci = &c[i * r..(i + 1) * r];
+        out_row.fill(0.0);
         for &j in csr.row(i) {
             let j = j as usize;
             let tj = &theta[j * r..(j + 1) * r];
@@ -407,13 +371,14 @@ fn split_rows_csr_ensemble_body<P: PairTerm>(
     }
 }
 
-/// Ensemble twin of [`finalize_rows_body`]: each oscillator row's scale
-/// applies to its `r` contiguous replica slots. Same per-element
-/// arithmetic (`omega + scale · v`), hence bitwise identical.
+/// Finalize a chunk of raw coupling sums in place,
+/// `out[e] = omega + scale[row] · out[e]`, each row's scale applying to
+/// its `R` contiguous replica slots (the noise-free fast path; local
+/// noise takes the caller's per-replica loop).
 #[inline(always)]
-fn finalize_rows_ensemble_body(omega: f64, scale: &[f64], r: usize, out: &mut [f64]) {
-    for (row, &sc) in scale.iter().enumerate() {
-        for d in &mut out[row * r..(row + 1) * r] {
+fn finalize_rows_body<W: Width>(omega: f64, scale: &[f64], w: W, out: &mut [f64]) {
+    for (out_row, &sc) in out.chunks_exact_mut(w.get()).zip(scale) {
+        for d in out_row {
             *d = omega + sc * *d;
         }
     }
@@ -432,16 +397,6 @@ fn finalize_rows_ensemble_body(omega: f64, scale: &[f64], r: usize, out: &mut [f
 // versus the non-FMA build; that machine dependence is part of the
 // `SinCosSplit` accuracy policy and never applies to `Exact`.)
 
-/// Finalize a chunk of raw coupling sums in place:
-/// `out[slot] = omega + scale[slot] · out[slot]` (the noise-free fast
-/// path; per-oscillator intrinsic noise takes the caller's scalar loop).
-#[inline(always)]
-fn finalize_rows_body(omega: f64, scale: &[f64], out: &mut [f64]) {
-    for (d, &sc) in out.iter_mut().zip(scale) {
-        *d = omega + sc * *d;
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn have_avx2_fma() -> bool {
@@ -455,17 +410,16 @@ fn have_avx2_fma() -> bool {
 macro_rules! simd_dispatched {
     (
         $(#[$doc:meta])*
-        fn $name:ident $(<$gen:ident: $bound:ident>)? ($($arg:ident: $ty:ty),* $(,)?) = $body:ident
+        fn $name:ident $(<$($gen:ident: $bound:ident),+>)? ($($arg:ident: $ty:ty),* $(,)?) = $body:ident
     ) => {
         $(#[$doc])*
-        // Ensemble kernels thread `r` through the shared signature shape.
         #[allow(clippy::too_many_arguments)]
-        pub(crate) fn $name$(<$gen: $bound>)?($($arg: $ty),*) {
+        pub(crate) fn $name$(<$($gen: $bound),+>)?($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             {
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
-                unsafe fn avx2$(<$gen: $bound>)?($($arg: $ty),*) {
+                unsafe fn avx2$(<$($gen: $bound),+>)?($($arg: $ty),*) {
                     $body($($arg),*)
                 }
                 if have_avx2_fma() {
@@ -486,9 +440,10 @@ simd_dispatched! {
 
 simd_dispatched! {
     /// Stencil row loop with runtime SIMD dispatch.
-    fn split_rows_stencil<P: PairTerm>(
+    fn split_rows_stencil<P: PairTerm, W: Width>(
         p: P,
         stencil: &RingStencil,
+        w: W,
         theta: &[f64],
         s: &[f64],
         c: &[f64],
@@ -499,9 +454,10 @@ simd_dispatched! {
 
 simd_dispatched! {
     /// CSR row loop with runtime SIMD dispatch.
-    fn split_rows_csr<P: PairTerm>(
+    fn split_rows_csr<P: PairTerm, W: Width>(
         p: P,
         csr: CsrView<'_>,
+        w: W,
         theta: &[f64],
         s: &[f64],
         c: &[f64],
@@ -512,40 +468,7 @@ simd_dispatched! {
 
 simd_dispatched! {
     /// Row finalization with runtime SIMD dispatch.
-    fn finalize_rows(omega: f64, scale: &[f64], out: &mut [f64]) = finalize_rows_body
-}
-
-simd_dispatched! {
-    /// Ensemble stencil row loop with runtime SIMD dispatch.
-    fn split_rows_stencil_ensemble<P: PairTerm>(
-        p: P,
-        stencil: &RingStencil,
-        r: usize,
-        theta: &[f64],
-        s: &[f64],
-        c: &[f64],
-        rows: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) = split_rows_stencil_ensemble_body
-}
-
-simd_dispatched! {
-    /// Ensemble CSR row loop with runtime SIMD dispatch.
-    fn split_rows_csr_ensemble<P: PairTerm>(
-        p: P,
-        csr: CsrView<'_>,
-        r: usize,
-        theta: &[f64],
-        s: &[f64],
-        c: &[f64],
-        rows: std::ops::Range<usize>,
-        out: &mut [f64],
-    ) = split_rows_csr_ensemble_body
-}
-
-simd_dispatched! {
-    /// Ensemble row finalization with runtime SIMD dispatch.
-    fn finalize_rows_ensemble(omega: f64, scale: &[f64], r: usize, out: &mut [f64]) = finalize_rows_ensemble_body
+    fn finalize_rows<W: Width>(omega: f64, scale: &[f64], w: W, out: &mut [f64]) = finalize_rows_body
 }
 
 #[cfg(test)]

@@ -66,6 +66,7 @@ pub mod observables;
 pub mod params;
 pub mod potential;
 pub mod presets;
+mod rhs;
 pub mod simulate;
 pub mod stability;
 

@@ -1,17 +1,23 @@
 //! The coupled-oscillator system itself: Eq. (2) as an `OdeSystem`/`DdeSystem`.
+//!
+//! [`Pom`] holds the model — parameters, topology, potential, noise, the
+//! build-time coupling cache and the RHS configuration (kernel, pool,
+//! scratch). Its right-hand side is the shared one in `rhs.rs`, run on
+//! the model as an ensemble of one at compile-time width one.
 
 use std::f64::consts::TAU;
 use std::sync::{Arc, Mutex};
 
-use pom_kernels::par::{ChunkPool, DisjointSliceMut};
+use pom_kernels::par::ChunkPool;
 use pom_noise::{InteractionNoise, LocalNoise};
 use pom_ode::dde::{DdeSystem, PhaseHistory};
 use pom_ode::OdeSystem;
 use pom_topology::{RingStencil, Topology};
 
-use crate::kernel::{self, DesyncPair, RhsKernel, SinPair, SplitScratch};
+use crate::kernel::{One, RhsKernel, SplitScratch};
 use crate::params::PomParams;
 use crate::potential::Potential;
+use crate::rhs::Rhs;
 
 /// Below this row count the fork–join hand-off costs more than the chunked
 /// work saves; the RHS then runs inline even when a pool is configured
@@ -62,10 +68,11 @@ pub struct Pom {
     /// Worker pool splitting one RHS evaluation across cores (absent for
     /// the default serial configuration).
     pub(crate) pool: Option<ChunkPool>,
-    /// `sin`/`cos` arrays for the split kernel. The ODE contract evaluates
-    /// the RHS through `&self`, so the scratch sits behind a mutex; the
-    /// lock is uncontended (one integration drives one model at a time)
-    /// and is taken once per evaluation, not per oscillator.
+    /// RHS scratch (`sin`/`cos` arrays for the split kernel, `τ`/phase
+    /// windows for the delay path). The ODE contract evaluates the RHS
+    /// through `&self`, so the scratch sits behind a mutex; the lock is
+    /// uncontended (one integration drives one model at a time) and is
+    /// taken once per evaluation, not per oscillator.
     pub(crate) split_scratch: Mutex<SplitScratch>,
 }
 
@@ -156,8 +163,8 @@ impl Pom {
     }
 
     /// Intrinsic term `2π / (t_comp + t_comm + ζ_i(t))`, with the period
-    /// clamped below by `min_cycle`. `pub(crate)` for the ensemble RHS,
-    /// which evaluates each replica's intrinsic through its own member.
+    /// clamped below by `min_cycle`. The RHS rows evaluate each replica's
+    /// intrinsic through its own member.
     #[inline]
     pub(crate) fn intrinsic(&self, i: usize, t: f64) -> f64 {
         let mut cycle = self.params.cycle_time();
@@ -167,172 +174,14 @@ impl Pom {
         TAU / cycle.max(self.min_cycle)
     }
 
-    /// Run `rows(start, out_chunk)` over every oscillator row, either
-    /// inline or chunked across the worker pool. Each chunk owns a
-    /// disjoint contiguous `dtheta` range, so parallel execution performs
-    /// exactly the per-row arithmetic of the serial loop — results are
-    /// bitwise identical for every thread count.
-    #[inline]
-    fn for_row_chunks(&self, dtheta: &mut [f64], rows: impl Fn(usize, &mut [f64]) + Sync) {
-        let n = self.params.n;
-        match &self.pool {
-            Some(pool) if n >= MIN_PAR_ROWS => {
-                let shared = DisjointSliceMut::new(&mut dtheta[..n]);
-                pool.run(n, &|_slot, range| {
-                    // SAFETY: `ChunkPool::run` hands each slot a disjoint
-                    // range of `0..n`.
-                    let chunk = unsafe { shared.range_mut(range.clone()) };
-                    rows(range.start, chunk);
-                });
-            }
-            _ => rows(0, &mut dtheta[..n]),
+    /// This model as an ensemble of one, at compile-time width one.
+    fn rhs(&self) -> Rhs<'_, One> {
+        Rhs {
+            members: std::slice::from_ref(self),
+            scratch: &self.split_scratch,
+            shared_delays: true,
+            width: One,
         }
-    }
-
-    /// Reference (`RhsKernel::Exact`) row loop: one fused pass computing
-    /// `intrinsic + scale_i · Σ_j V(θ_j − θ_i)` per row, the potential's
-    /// parameters hoisted into `v` (monomorphized per shape by
-    /// [`Pom::rhs_ode`]). Per-element operations — and therefore results —
-    /// are bitwise identical to the historical fill-then-accumulate pair
-    /// of passes, while touching `dtheta` once instead of twice.
-    #[inline]
-    fn exact_rows(&self, t: f64, theta: &[f64], dtheta: &mut [f64], v: impl Fn(f64) -> f64 + Sync) {
-        let csr = self.topology.csr();
-        let noise_free = self.local_noise.is_null();
-        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
-        self.for_row_chunks(dtheta, |start, out| {
-            for (slot, d) in out.iter_mut().enumerate() {
-                let i = start + slot;
-                let theta_i = theta[i];
-                let mut coupling = 0.0;
-                for &j in csr.row(i) {
-                    coupling += v(theta[j as usize] - theta_i);
-                }
-                let intrinsic = if noise_free {
-                    omega
-                } else {
-                    self.intrinsic(i, t)
-                };
-                *d = intrinsic + self.coupling_cache[i] * coupling;
-            }
-        });
-    }
-
-    /// Split-kernel row loop: phase 1 fills `sin(kθ)`/`cos(kθ)` arrays
-    /// (one vectorized pass, chunked over the pool), phase 2 accumulates
-    /// the coupling sums from the arrays — via the index-free ring stencil
-    /// when the topology has one, else the flat CSR — and fuses in the
-    /// intrinsic term and coupling prefactor.
-    fn split_rows<P: kernel::PairTerm>(
-        &self,
-        p: P,
-        k: f64,
-        t: f64,
-        theta: &[f64],
-        dtheta: &mut [f64],
-    ) {
-        let n = self.params.n;
-        let mut guard = self.split_scratch.lock().expect("split scratch");
-        let (s, c) = guard.halves(n);
-
-        match &self.pool {
-            Some(pool) if n >= MIN_PAR_ROWS => {
-                let s_shared = DisjointSliceMut::new(s);
-                let c_shared = DisjointSliceMut::new(c);
-                pool.run(n, &|_slot, range| {
-                    // SAFETY: disjoint ranges per slot (ChunkPool::run).
-                    let (s_chunk, c_chunk) = unsafe {
-                        (
-                            s_shared.range_mut(range.clone()),
-                            c_shared.range_mut(range.clone()),
-                        )
-                    };
-                    kernel::sincos_pass(k, &theta[range], s_chunk, c_chunk);
-                });
-            }
-            _ => kernel::sincos_pass(k, &theta[..n], s, c),
-        }
-
-        let (s, c) = (&*s, &*c);
-        let noise_free = self.local_noise.is_null();
-        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
-        let stencil = self.stencil.as_ref();
-        let csr = self.topology.csr();
-        self.for_row_chunks(dtheta, |start, out| {
-            let rows = start..start + out.len();
-            match stencil {
-                Some(st) => kernel::split_rows_stencil(p, st, theta, s, c, rows.clone(), out),
-                None => kernel::split_rows_csr(p, csr, theta, s, c, rows.clone(), out),
-            }
-            if noise_free {
-                kernel::finalize_rows(omega, &self.coupling_cache[rows], out);
-            } else {
-                for (slot, d) in out.iter_mut().enumerate() {
-                    let i = start + slot;
-                    *d = self.intrinsic(i, t) + self.coupling_cache[i] * *d;
-                }
-            }
-        });
-    }
-
-    /// Shared RHS for the no-delay path, dispatching on the kernel
-    /// selection. `SinCosSplit` applies to the sine-structured potentials
-    /// (`KuramotoSin` and the sine branch of `Desync`); `Tanh` has no
-    /// angle-addition split and falls back to the exact per-pair math.
-    fn rhs_ode(&self, t: f64, theta: &[f64], dtheta: &mut [f64]) {
-        match (self.kernel, self.potential) {
-            (RhsKernel::SinCosSplit, Potential::KuramotoSin) => {
-                self.split_rows(SinPair, 1.0, t, theta, dtheta);
-            }
-            (RhsKernel::SinCosSplit, Potential::Desync { sigma }) => {
-                let k = 1.5 * std::f64::consts::PI / sigma;
-                self.split_rows(DesyncPair { sigma }, k, t, theta, dtheta);
-            }
-            (_, Potential::Tanh) => self.exact_rows(t, theta, dtheta, |x| x.tanh()),
-            (_, Potential::Desync { sigma }) => {
-                let k = 1.5 * std::f64::consts::PI / sigma;
-                self.exact_rows(t, theta, dtheta, move |x| {
-                    if x.abs() < sigma {
-                        -(k * x).sin()
-                    } else {
-                        x.signum()
-                    }
-                });
-            }
-            (_, Potential::KuramotoSin) => self.exact_rows(t, theta, dtheta, |x| x.sin()),
-        }
-    }
-
-    /// Shared RHS for the delay path: partner phases are read from the
-    /// history at `t − τ_ij(t)`. History sampling precludes the sin/cos
-    /// precomputation (each pair reads a different past time), so the pair
-    /// math is always exact here; rows still fan out across the pool.
-    fn rhs_dde(&self, t: f64, theta: &[f64], hist: &dyn PhaseHistory, dtheta: &mut [f64]) {
-        let csr = self.topology.csr();
-        let noise_free = self.local_noise.is_null();
-        let omega = TAU / self.params.cycle_time().max(self.min_cycle);
-        self.for_row_chunks(dtheta, |start, out| {
-            for (slot, d) in out.iter_mut().enumerate() {
-                let i = start + slot;
-                let mut coupling = 0.0;
-                for &j in csr.row(i) {
-                    let j = j as usize;
-                    let tau = self.interaction_noise.tau(i, j, t);
-                    let theta_j = if tau > 0.0 {
-                        hist.sample(t - tau, j)
-                    } else {
-                        theta[j]
-                    };
-                    coupling += self.potential.value(theta_j - theta[i]);
-                }
-                let intrinsic = if noise_free {
-                    omega
-                } else {
-                    self.intrinsic(i, t)
-                };
-                *d = intrinsic + self.coupling_cache[i] * coupling;
-            }
-        });
     }
 }
 
@@ -342,7 +191,7 @@ impl OdeSystem for Pom {
     }
 
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.rhs_ode(t, y, dydt);
+        self.rhs().ode(t, y, dydt);
     }
 }
 
@@ -352,7 +201,7 @@ impl DdeSystem for Pom {
     }
 
     fn eval(&self, t: f64, y: &[f64], hist: &dyn PhaseHistory, dydt: &mut [f64]) {
-        self.rhs_dde(t, y, hist, dydt);
+        self.rhs().dde(t, y, hist, dydt);
     }
 }
 

@@ -1,5 +1,5 @@
-//! Differential tests for [`PomEnsemble`]: the natively batched
-//! R-replica integration — interleaved state, one sin/cos pass, row-outer
+//! Differential tests for [`PomEnsemble`]: the lockstep R-replica
+//! integration — interleaved state, one sin/cos pass, row-outer
 //! stencil/CSR accumulation — must be **bitwise** identical to R
 //! independent [`Pom`] runs, per kernel, per solver path, per RHS thread
 //! count.
@@ -7,12 +7,19 @@
 //! This is the correctness contract that lets ensemble sweep columns
 //! (`<obs>_mean`/`<obs>_ci95`/…) claim the same determinism as the plain
 //! columns: replica 0 of a batch IS the single run, bit for bit.
+//!
+//! A single run and a batch evaluate the same RHS rows (at width one and
+//! width R), so the differential suites pin the interleaved layout, the
+//! lockstep integration and the observer fan-out; the rows themselves are
+//! checked against an independent Eq. (2) reference at the end.
 
 use pom_core::{
-    InitialCondition, Pom, PomBuilder, PomEnsemble, Potential, RhsKernel, SimOptions, SolverChoice,
+    InitialCondition, Normalization, Pom, PomBuilder, PomEnsemble, Potential, RhsKernel,
+    SimOptions, SolverChoice,
 };
 use pom_noise::{RandomCommDelay, WhiteJitter};
 use pom_ode::observe::CollectObserver;
+use pom_ode::OdeSystem;
 use pom_topology::Topology;
 use proptest::prelude::*;
 
@@ -298,4 +305,103 @@ fn mismatched_sizes_are_rejected() {
         build_member(Variant::ExactTanhRing, 8, 2.0, 1, None),
         build_member(Variant::ExactTanhRing, 12, 2.0, 1, None),
     ]);
+}
+
+/// Every member must run on the same topology: the batch walks member 0's
+/// neighbor lists for all replicas.
+#[test]
+#[should_panic(expected = "topology differs")]
+fn mismatched_topologies_are_rejected() {
+    let member = |distances: &[i32]| {
+        PomBuilder::new(16)
+            .topology(Topology::ring(16, distances))
+            .potential(Potential::Tanh)
+            .kappa(2.0)
+            .build()
+            .unwrap()
+    };
+    PomEnsemble::new(vec![member(&[-1, 1]), member(&[-2, 2])]);
+}
+
+/// Paper Eq. (2), noise-free, written out independently of the crate's
+/// RHS rows: `ω + scale_i · Σ_j V(θ_j − θ_i)` over ascending neighbors
+/// `j`, with `scale_i = v_p/N` or `v_p/deg(i)`.
+fn eq2_reference(model: &Pom, normalization: Normalization, theta: &[f64]) -> Vec<f64> {
+    let (n, vp) = (model.n(), model.params().coupling());
+    (0..n)
+        .map(|i| {
+            let mut neighbors = model.topology().neighbors(i).to_vec();
+            neighbors.sort_unstable();
+            let mut sum = 0.0;
+            for j in neighbors {
+                sum += model.potential().value(theta[j as usize] - theta[i]);
+            }
+            let scale = match normalization {
+                Normalization::ByN => vp / n as f64,
+                Normalization::ByDegree => vp / model.topology().degree(i).max(1) as f64,
+            };
+            model.omega() + scale * sum
+        })
+        .collect()
+}
+
+/// The `Exact` kernel IS Eq. (2): a single model's RHS and every replica
+/// of a batched evaluation equal the reference above bitwise, for each
+/// potential, on a ring and on a chain, under both normalizations.
+#[test]
+fn exact_rhs_matches_the_eq2_reference_bitwise() {
+    let (n, r) = (17, 3);
+    let layout = pom_ode::EnsembleLayout::new(n, r);
+    // Phases spanning several revolutions, different per replica.
+    let states: Vec<Vec<f64>> = (0..r)
+        .map(|rep| {
+            (0..n)
+                .map(|i| ((i * 7 + rep * 3) as f64 * 0.911).sin() * 6.0)
+                .collect()
+        })
+        .collect();
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for potential in [
+        Potential::Tanh,
+        Potential::desync(2.0),
+        Potential::KuramotoSin,
+    ] {
+        for topology in [
+            Topology::ring(n, &[-2, -1, 1]),
+            Topology::chain(n, &[-1, 1, 3]),
+        ] {
+            for normalization in [Normalization::ByN, Normalization::ByDegree] {
+                let model = || {
+                    PomBuilder::new(n)
+                        .topology(topology.clone())
+                        .potential(potential)
+                        .coupling(3.7)
+                        .normalization(normalization)
+                        .build()
+                        .unwrap()
+                };
+                let what = format!("{potential:?} {:?} {normalization:?}", topology.kind());
+                let single = model();
+                let want: Vec<_> = states
+                    .iter()
+                    .map(|theta| bits(&eq2_reference(&single, normalization, theta)))
+                    .collect();
+
+                let mut d = vec![0.0; n];
+                OdeSystem::eval(&single, 0.0, &states[0], &mut d);
+                assert_eq!(bits(&d), want[0], "{what}: single run");
+
+                let ensemble = PomEnsemble::new((0..r).map(|_| model()).collect());
+                let mut d = vec![0.0; n * r];
+                OdeSystem::eval(&ensemble, 0.0, &layout.pack(&states), &mut d);
+                for (rep, want) in want.iter().enumerate() {
+                    assert_eq!(
+                        &bits(&layout.extract(&d, rep)),
+                        want,
+                        "{what}: replica {rep}"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -1,23 +1,14 @@
-//! Shared typed `key=value` argument parsing.
+//! The shared `key=value` argument error.
 //!
 //! Both front ends of the toolkit accept the same flat argument surface:
 //! the CLI takes `pom simulate n=40 sigma=3` words, the campaign daemon
 //! takes `?follow=1&from=3` query strings and `pom serve threads=4`
-//! options. Before this module each surface re-implemented the typing
-//! (string → f64/usize/bool/list) with its own error strings; now one
-//! [`TypedArgs`] table does the lookup and one [`ArgError`] names the
-//! offending key, so the CLI and the HTTP API accept and reject
-//! *identical* inputs.
-//!
-//! Numeric typing is delegated to the same number grammar the campaign
-//! spec parser uses ([`crate::value`]): `3`, `3.0`, `1.5e-3` and
-//! `1_000` all read as numbers everywhere — a value that works in a spec
-//! file works on the command line and in a query string.
+//! options. The command registry ([`crate::registry`]) parses all of
+//! them and reports every rejection as one [`ArgError`] naming the
+//! offending key, so the CLI and the HTTP API reject *identical* inputs
+//! with identical wording.
 
-use std::collections::BTreeMap;
 use std::fmt;
-
-use crate::value::{parse_number, Value};
 
 /// Typed-argument errors with the offending key for actionable messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,257 +77,3 @@ impl fmt::Display for ArgError {
 }
 
 impl std::error::Error for ArgError {}
-
-/// A parsed `key=value` table with typed accessors.
-#[derive(Debug, Clone, Default)]
-pub struct TypedArgs {
-    values: BTreeMap<String, String>,
-}
-
-impl TypedArgs {
-    /// Parse a list of `key=value` strings (CLI argument words).
-    pub fn parse<I, S>(args: I) -> Result<Self, ArgError>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        let mut out = Self::default();
-        for arg in args {
-            let arg = arg.as_ref();
-            let Some((k, v)) = arg.split_once('=') else {
-                return Err(ArgError::Malformed(arg.to_string()));
-            };
-            out.insert(k, v)?;
-        }
-        Ok(out)
-    }
-
-    /// Build from pre-split pairs (e.g. an HTTP query string). The same
-    /// duplicate-key rule applies as on the command line.
-    pub fn from_pairs<I, K, V>(pairs: I) -> Result<Self, ArgError>
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: AsRef<str>,
-        V: AsRef<str>,
-    {
-        let mut out = Self::default();
-        for (k, v) in pairs {
-            out.insert(k.as_ref(), v.as_ref())?;
-        }
-        Ok(out)
-    }
-
-    fn insert(&mut self, k: &str, v: &str) -> Result<(), ArgError> {
-        if self
-            .values
-            .insert(k.trim().to_string(), v.trim().to_string())
-            .is_some()
-        {
-            return Err(ArgError::Duplicate(k.trim().to_string()));
-        }
-        Ok(())
-    }
-
-    /// Raw lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
-    }
-
-    /// All keys (for unknown-key diagnostics).
-    pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.values.keys().map(String::as_str)
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True when no arguments were given.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Raw lookup that errors when absent.
-    pub fn require(&self, key: &'static str) -> Result<&str, ArgError> {
-        self.get(key).ok_or(ArgError::Missing(key))
-    }
-
-    fn number(&self, key: &'static str, expected: &'static str) -> Result<Option<Value>, ArgError> {
-        match self.get(key) {
-            None => Ok(None),
-            Some(v) => parse_number(v).map(Some).map_err(|_| ArgError::BadValue {
-                key: key.into(),
-                value: v.into(),
-                expected,
-            }),
-        }
-    }
-
-    /// `f64` with default.
-    pub fn f64_or(&self, key: &'static str, default: f64) -> Result<f64, ArgError> {
-        Ok(self
-            .number(key, "a number")?
-            .and_then(|v| v.as_f64())
-            .unwrap_or(default))
-    }
-
-    /// `usize` with default.
-    pub fn usize_or(&self, key: &'static str, default: usize) -> Result<usize, ArgError> {
-        const EXPECTED: &str = "a non-negative integer";
-        match self.number(key, EXPECTED)? {
-            None => Ok(default),
-            Some(v) => v
-                .as_i64()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| ArgError::BadValue {
-                    key: key.into(),
-                    value: self.get(key).unwrap_or("").into(),
-                    expected: EXPECTED,
-                }),
-        }
-    }
-
-    /// `u64` with default.
-    pub fn u64_or(&self, key: &'static str, default: u64) -> Result<u64, ArgError> {
-        const EXPECTED: &str = "a non-negative integer";
-        match self.number(key, EXPECTED)? {
-            None => Ok(default),
-            Some(v) => v
-                .as_i64()
-                .and_then(|i| u64::try_from(i).ok())
-                .ok_or_else(|| ArgError::BadValue {
-                    key: key.into(),
-                    value: self.get(key).unwrap_or("").into(),
-                    expected: EXPECTED,
-                }),
-        }
-    }
-
-    /// Boolean with default: `1`/`true`/`yes` are true, `0`/`false`/`no`
-    /// are false.
-    pub fn bool_or(&self, key: &'static str, default: bool) -> Result<bool, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some("1") | Some("true") | Some("yes") => Ok(true),
-            Some("0") | Some("false") | Some("no") => Ok(false),
-            Some(v) => Err(ArgError::BadValue {
-                key: key.into(),
-                value: v.into(),
-                expected: "a boolean (0/1/true/false)",
-            }),
-        }
-    }
-
-    /// String with default.
-    pub fn str_or(&self, key: &str, default: &str) -> String {
-        self.get(key).unwrap_or(default).to_string()
-    }
-
-    /// Comma-separated signed integers (e.g. `distances=-2,-1,1`).
-    pub fn i32_list_or(&self, key: &'static str, default: &[i32]) -> Result<Vec<i32>, ArgError> {
-        match self.get(key) {
-            None => Ok(default.to_vec()),
-            Some(v) => v
-                .split(',')
-                .map(|p| {
-                    p.trim().parse().map_err(|_| ArgError::BadValue {
-                        key: key.into(),
-                        value: v.into(),
-                        expected: "comma-separated integers",
-                    })
-                })
-                .collect(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_key_values() {
-        let c = TypedArgs::parse(["n=40", "sigma=3.0", "distances=-1,1"]).unwrap();
-        assert_eq!(c.get("n"), Some("40"));
-        assert_eq!(c.usize_or("n", 0).unwrap(), 40);
-        assert_eq!(c.f64_or("sigma", 0.0).unwrap(), 3.0);
-        assert_eq!(c.i32_list_or("distances", &[]).unwrap(), vec![-1, 1]);
-    }
-
-    #[test]
-    fn defaults_apply() {
-        let c = TypedArgs::parse(Vec::<String>::new()).unwrap();
-        assert_eq!(c.f64_or("tcomp", 0.9).unwrap(), 0.9);
-        assert_eq!(c.usize_or("n", 40).unwrap(), 40);
-        assert_eq!(c.str_or("potential", "tanh"), "tanh");
-        assert_eq!(c.i32_list_or("distances", &[-1, 1]).unwrap(), vec![-1, 1]);
-        assert!(c.bool_or("follow", false).is_ok_and(|b| !b));
-    }
-
-    #[test]
-    fn whitespace_tolerated() {
-        let c = TypedArgs::parse(["n = 7"]).unwrap();
-        assert_eq!(c.usize_or("n", 0).unwrap(), 7);
-    }
-
-    #[test]
-    fn pairs_match_cli_typing() {
-        // A query string and the CLI words type identically.
-        let q = TypedArgs::from_pairs([("threads", "4"), ("follow", "1")]).unwrap();
-        let c = TypedArgs::parse(["threads=4", "follow=1"]).unwrap();
-        assert_eq!(
-            q.usize_or("threads", 0).unwrap(),
-            c.usize_or("threads", 0).unwrap()
-        );
-        assert_eq!(
-            q.bool_or("follow", false).unwrap(),
-            c.bool_or("follow", false).unwrap()
-        );
-    }
-
-    #[test]
-    fn spec_number_grammar_is_accepted() {
-        // Same grammar as spec files: exponents and underscores.
-        let c = TypedArgs::parse(["gain=1.5e-3", "n=1_000"]).unwrap();
-        assert_eq!(c.f64_or("gain", 0.0).unwrap(), 1.5e-3);
-        assert_eq!(c.usize_or("n", 0).unwrap(), 1000);
-    }
-
-    #[test]
-    fn errors_are_specific() {
-        assert_eq!(
-            TypedArgs::parse(["oops"]).unwrap_err(),
-            ArgError::Malformed("oops".into())
-        );
-        assert_eq!(
-            TypedArgs::parse(["a=1", "a=2"]).unwrap_err(),
-            ArgError::Duplicate("a".into())
-        );
-        assert_eq!(
-            TypedArgs::from_pairs([("a", "1"), ("a", "2")]).unwrap_err(),
-            ArgError::Duplicate("a".into())
-        );
-        let c = TypedArgs::parse(["n=abc"]).unwrap();
-        assert!(matches!(c.usize_or("n", 0), Err(ArgError::BadValue { .. })));
-        let c = TypedArgs::parse(["n=-3"]).unwrap();
-        assert!(matches!(c.usize_or("n", 0), Err(ArgError::BadValue { .. })));
-        let c = TypedArgs::parse(["distances=1,x"]).unwrap();
-        assert!(c.i32_list_or("distances", &[]).is_err());
-        let c = TypedArgs::parse(["follow=2"]).unwrap();
-        assert!(c.bool_or("follow", false).is_err());
-    }
-
-    #[test]
-    fn error_messages_name_the_key() {
-        let e = ArgError::BadValue {
-            key: "sigma".into(),
-            value: "x".into(),
-            expected: "a number",
-        };
-        assert!(e.to_string().contains("sigma"));
-        assert!(ArgError::Missing("n").to_string().contains('n'));
-        let c = TypedArgs::default();
-        assert_eq!(c.require("n").unwrap_err(), ArgError::Missing("n"));
-    }
-}

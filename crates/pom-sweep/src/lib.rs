@@ -79,7 +79,7 @@ pub mod sink;
 pub mod spec;
 pub mod value;
 
-pub use args::{ArgError, TypedArgs};
+pub use args::ArgError;
 pub use exec::{record_external_point, run_campaign, RunOptions, POINT_DURATION_METRIC};
 pub use registry::{ArgKind, ArgSpec, CommandSpec, Parsed, Registry, RouteSpec, SectionSpec};
 pub use run::{run_point, run_point_ws, PointRow};

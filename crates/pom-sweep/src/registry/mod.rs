@@ -12,8 +12,8 @@
 //! [`CommandSpec`]. One generic driver ([`CommandSpec::parse`]) turns
 //! `key=value` words and positionals into a typed [`Parsed`] table,
 //! rejecting unknown keys (with a "did you mean" suggestion), duplicate
-//! keys, bad types and stray positionals with the same [`ArgError`]
-//! wordings [`TypedArgs`](crate::TypedArgs) established. From the same
+//! keys, bad types and stray positionals with one set of [`ArgError`]
+//! wordings. From the same
 //! tables the registry generates:
 //!
 //! * the CLI help (full command table and per-command pages),
