@@ -8,16 +8,13 @@
 //! 3. prints a `VERDICT:` line summarizing how the measured shape relates
 //!    to the paper's claim — EXPERIMENTS.md collects these.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
-use pom_core::SimWorkspace;
 use pom_ode::{OdeSystem, Rk4, Stepper, Workspace};
 use pom_sweep::{
-    run_point_ws, CampaignSpec, CampaignSummary, PointRow, ResultSink, RunOptions, SweepError,
+    run_campaign_with, run_point_ws, CampaignSpec, CampaignSummary, ResultSink, RunOptions,
+    SweepError,
 };
 
 /// Faithful replica of the `FixedStepSolver::integrate_observed` step loop
@@ -59,92 +56,20 @@ pub fn integrate_fixed_rk4_pre_obs<Sys: OdeSystem + ?Sized>(
     y.to_vec()
 }
 
-/// Faithful replica of the pre-observability `run_campaign`: identical
-/// atomic-cursor work distribution, per-worker workspace reuse, and
-/// in-order reorder-buffer emission — with every instrumentation site
-/// (campaign counter, queue-depth gauge, per-point timing) absent rather
-/// than disabled. The other half of the `obs_overhead` gate.
+/// Faithful replica of `run_campaign`: the same executor
+/// ([`run_campaign_with`]: one point queue, per-worker workspace reuse,
+/// in-order release) and the same panic-catching point runner, with
+/// every instrumentation site (campaign counter, queue-depth gauge,
+/// per-point timing) absent rather than disabled. The other half of the
+/// `obs_overhead` gate.
 pub fn run_campaign_pre_obs(
     spec: &CampaignSpec,
     opts: &RunOptions,
     sink: &mut dyn ResultSink,
 ) -> Result<CampaignSummary, SweepError> {
-    let total = spec.total_points();
-    let pending: Vec<usize> = (0..total).filter(|i| !opts.completed.contains(i)).collect();
-    let n_workers = opts.effective_threads().min(pending.len().max(1));
-
-    sink.begin(spec)?;
-
-    let mut summary = CampaignSummary {
-        total,
-        executed: 0,
-        skipped: total - pending.len(),
-        errors: 0,
-        cancelled: false,
-    };
-    if pending.is_empty() {
-        sink.end(&summary)?;
-        return Ok(summary);
-    }
-
-    let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<PointRow>();
-
-    let mut sink_error: Option<std::io::Error> = None;
-    std::thread::scope(|scope| {
-        for _ in 0..n_workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            let pending = &pending;
-            let cancel = opts.cancel.clone();
-            scope.spawn(move || {
-                let mut ws = SimWorkspace::new();
-                loop {
-                    if cancel.as_ref().is_some_and(|c| c.load(Ordering::Relaxed)) {
-                        break;
-                    }
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&index) = pending.get(k) else { break };
-                    let row = run_point_ws(spec, index, &mut ws);
-                    if tx.send(row).is_err() {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(tx);
-
-        let mut buffer: BTreeMap<usize, PointRow> = BTreeMap::new();
-        let mut emit_at = 0usize;
-        for row in rx {
-            buffer.insert(row.index, row);
-            while emit_at < pending.len() {
-                let next_index = pending[emit_at];
-                let Some(row) = buffer.remove(&next_index) else {
-                    break;
-                };
-                summary.executed += 1;
-                if row.error.is_some() {
-                    summary.errors += 1;
-                }
-                if let Err(e) = sink.row(&row) {
-                    sink_error = Some(e);
-                    return;
-                }
-                emit_at += 1;
-            }
-        }
-    });
-
-    summary.cancelled = opts
-        .cancel
-        .as_ref()
-        .is_some_and(|c| c.load(Ordering::Relaxed));
-    if let Some(e) = sink_error {
-        return Err(SweepError::Io(e));
-    }
-    sink.end(&summary)?;
-    Ok(summary)
+    run_campaign_with(spec, opts, sink, |index, _, ws| {
+        run_point_ws(spec, index, ws)
+    })
 }
 
 /// Output directory for reproduction artifacts (`target/repro`), created

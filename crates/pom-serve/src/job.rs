@@ -18,23 +18,27 @@
 //!   and thread-count-invariant like everything else: no RNG, no clock,
 //!   just a counter into a constant pattern.
 //! * **Determinism**: a row depends only on `(spec, point index)` — the
-//!   per-point seed derives from the index — and rows are written strictly
-//!   in ascending pending order through a per-job reorder buffer. However
-//!   jobs interleave, whatever the worker count, and across any number of
-//!   cancel/crash/resume cycles, a job's `results.jsonl` is bitwise
-//!   identical to a single uninterrupted `pom sweep` run. Submit-time
-//!   extras (priority, deadline, token) deliberately live *outside* the
-//!   spec — in the spool `meta` file — so they can never perturb the
-//!   spec hash or the result bytes.
-//! * **Crash safety**: every row is flushed as one write before the
-//!   reorder window advances, so the file is always a valid prefix in
-//!   emission order. [`JobManager::open`] re-scans the spool and
-//!   auto-resumes incomplete jobs via the standard
-//!   [`pom_sweep::scan_completed_at`] machinery, truncating a torn final
-//!   row so the stream stays whole-line. All spool IO is routed through
-//!   the [`crate::faults`] layer (a no-op in production) — the chaos
-//!   suite's proof that these properties hold under torn writes, short
-//!   reads and kills.
+//!   per-point seed derives from the index — and each job embeds a
+//!   [`PointQueue`], the queue `pom sweep` itself runs on: workers claim
+//!   from it, run the point through the same [`execute_point`], and its
+//!   reorder buffer releases rows strictly in ascending pending order
+//!   into a [`JsonlSink`]. However jobs interleave, whatever the worker
+//!   count, and across any number of cancel/crash/resume cycles, a job's
+//!   `results.jsonl` is bitwise identical to a single uninterrupted
+//!   `pom sweep` run. A point that fails or panics is an error row, as
+//!   in the CLI; its worker keeps serving. Submit-time extras (priority,
+//!   deadline, token) deliberately live *outside* the spec — in the
+//!   spool `meta` file — so they can never perturb the spec hash or the
+//!   result bytes.
+//! * **Crash safety**: the header and every row reach the file as one
+//!   write plus flush, so the file is always a valid prefix in release
+//!   order. [`JobManager::open`] re-scans the spool and auto-resumes
+//!   incomplete jobs via the standard [`pom_sweep::scan_completed_at`]
+//!   machinery; [`pom_sweep::reopen_for_append`], the helper `pom sweep
+//!   resume=1` uses, truncates a torn final row so the stream stays
+//!   whole-line. All spool IO is routed through the [`crate::faults`]
+//!   layer (a no-op in production) — the chaos suite's proof that these
+//!   properties hold under torn writes, short reads and kills.
 //! * **Lifecycle bounds**: jobs submitted with `deadline_ms=` are
 //!   cancelled once overdue, with a structured reason persisted in the
 //!   spool marker; a `retain` policy garbage-collects terminal job
@@ -43,16 +47,18 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fs;
-use std::io::{self, Write as _};
+use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use pom_core::SimWorkspace;
 use pom_obs::Level;
-use pom_sweep::sink::{header_json, write_row_line};
 use pom_sweep::value::{parse_json, write_json_str, Value};
-use pom_sweep::{run_point_ws, scan_completed_at, CampaignSpec, PointRow};
+use pom_sweep::{
+    execute_point, reopen_for_append, scan_completed_at, CampaignSpec, JsonlSink, PointQueue,
+    PointRow, ResultSink,
+};
 
 use crate::auth::TokenBook;
 use crate::faults::{Faults, SpoolFile};
@@ -314,9 +320,9 @@ struct Deadline {
 struct JobEntry {
     spec: Arc<CampaignSpec>,
     dir: PathBuf,
-    /// Open append handle while the job is active, routed through the
+    /// The results stream while the job is active, routed through the
     /// fault layer.
-    file: Option<SpoolFile>,
+    file: Option<JsonlSink<SpoolFile>>,
     state: JobState,
     reason: Option<String>,
     priority: Priority,
@@ -326,15 +332,8 @@ struct JobEntry {
     /// When the job reached a terminal state (spool GC age policy).
     finished_at: Option<SystemTime>,
     total: usize,
-    /// Missing point indices at activation, ascending; the emission order.
-    pending: Vec<usize>,
-    /// Next index into `pending` to hand to a worker.
-    next_dispatch: usize,
-    /// Next index into `pending` to write (reorder window base).
-    emit_at: usize,
-    /// Completed rows waiting for their predecessors.
-    buffer: BTreeMap<usize, PointRow>,
-    in_flight: usize,
+    /// Points missing from the results file at activation.
+    queue: PointQueue,
     /// Rows durable in the file (including rows found by the rescan).
     written: usize,
     errors: usize,
@@ -358,11 +357,7 @@ impl JobEntry {
             token: None,
             finished_at: None,
             total,
-            pending: (0..total).collect(),
-            next_dispatch: 0,
-            emit_at: 0,
-            buffer: BTreeMap::new(),
-            in_flight: 0,
+            queue: PointQueue::new((0..total).collect()),
             written: 0,
             errors: 0,
             point_us: pom_obs::Histogram::new(),
@@ -379,7 +374,7 @@ impl JobEntry {
             total: self.total,
             written: self.written,
             errors: self.errors,
-            in_flight: self.in_flight,
+            in_flight: self.queue.in_flight(),
             remaining: self.total - self.written,
             deadline_ms: self.deadline.map(|d| d.ms),
             reason: self.reason.clone(),
@@ -387,7 +382,7 @@ impl JobEntry {
     }
 
     fn dispatchable(&self) -> bool {
-        self.state == JobState::Running && self.next_dispatch < self.pending.len()
+        self.state == JobState::Running && self.queue.unclaimed() > 0
     }
 }
 
@@ -517,68 +512,54 @@ impl JobManager {
 
         let existing =
             spool::read_job_file(dir, spool::RESULTS_FILE, faults).map_err(|e| e.to_string())?;
+        let mut file = None;
         if let Some(existing) = existing {
-            match scan_completed_at(&existing, &spec) {
-                Ok(outcome) => {
-                    entry.pending = (0..total).filter(|i| !outcome.done.contains(i)).collect();
-                    entry.written = outcome.done.len();
-                    // A torn final row (crash mid-write) is truncated NOW,
-                    // whatever state the job lands in, so every later
-                    // append and rescan sees a whole-line stream. A torn
-                    // *header* leaves nothing to keep: recreate below.
-                    if outcome.retain_len > 0 && outcome.retain_len < existing.len() {
-                        let f = fs::OpenOptions::new()
-                            .write(true)
-                            .open(&results)
-                            .map_err(|e| e.to_string())?;
-                        f.set_len(outcome.retain_len as u64)
-                            .map_err(|e| e.to_string())?;
-                    }
-                    if entry.pending.is_empty() {
-                        entry.state = JobState::Done;
-                        entry.finished_at = file_mtime(&results);
-                        return Ok(entry);
-                    }
-                    if outcome.retain_len == 0 {
-                        // Torn/absent header: rewrite the stream fresh.
-                        entry.file = Some(
-                            create_results(faults, &results, &spec).map_err(|e| e.to_string())?,
-                        );
-                        entry.written = 0;
-                    } else {
-                        let mut file = fs::OpenOptions::new()
-                            .append(true)
-                            .open(&results)
-                            .map_err(|e| e.to_string())?;
-                        if outcome.needs_newline {
-                            file.write_all(b"\n").map_err(|e| e.to_string())?;
-                        }
-                        entry.file = Some(faults.wrap(file));
-                    }
-                    if cancelled {
-                        entry.state = JobState::Cancelled;
-                        entry.reason = cancel_reason;
-                        entry.finished_at = file_mtime(&dir.join(spool::CANCELLED_MARKER));
-                        entry.file = None;
-                    }
-                }
+            let outcome = match scan_completed_at(&existing, &spec) {
+                Ok(outcome) => outcome,
                 Err(e) => {
                     // Hash mismatch or mid-file corruption: keep the job
                     // visible but refuse to touch the foreign file.
                     entry.state = JobState::Failed;
                     entry.reason = Some(e);
                     entry.finished_at = file_mtime(&results);
+                    return Ok(entry);
                 }
+            };
+            entry.queue =
+                PointQueue::new((0..total).filter(|i| !outcome.done.contains(i)).collect());
+            entry.written = outcome.done.len();
+            // A torn final row (crash mid-write) is repaired NOW, whatever
+            // state the job lands in, so every later append and rescan
+            // sees a whole-line stream. A torn *header* leaves nothing to
+            // keep: the stream is recreated below.
+            if outcome.retain_len > 0 {
+                let reopened =
+                    reopen_for_append(&results, &existing, &outcome).map_err(|e| e.to_string())?;
+                file = Some(JsonlSink::appending(faults.wrap(reopened)));
             }
+        }
+        if entry.queue.unreleased() == 0 {
+            entry.state = JobState::Done;
+            entry.finished_at = file_mtime(&results);
+            return Ok(entry);
+        }
+        let file = match file {
+            Some(file) => file,
+            // No results file (crash between spec write and header) or a
+            // torn header: start the stream fresh.
+            None => {
+                let created = fs::File::create(&results).map_err(|e| e.to_string())?;
+                let mut sink = JsonlSink::new(faults.wrap(created));
+                sink.begin(&spec).map_err(|e| e.to_string())?;
+                sink
+            }
+        };
+        if cancelled {
+            entry.state = JobState::Cancelled;
+            entry.reason = cancel_reason;
+            entry.finished_at = file_mtime(&dir.join(spool::CANCELLED_MARKER));
         } else {
-            // Crash between spec write and results creation: fresh start.
-            if cancelled {
-                entry.state = JobState::Cancelled;
-                entry.reason = cancel_reason;
-                entry.finished_at = file_mtime(&dir.join(spool::CANCELLED_MARKER));
-                return Ok(entry);
-            }
-            entry.file = Some(create_results(faults, &results, &spec).map_err(|e| e.to_string())?);
+            entry.file = Some(file);
         }
         Ok(entry)
     }
@@ -639,8 +620,11 @@ impl JobManager {
             at: SystemTime::now() + Duration::from_millis(ms),
         });
         write_meta(&dir, opts.priority, deadline, token.as_deref()).map_err(SubmitError::Io)?;
-        let file = create_results(&self.faults, &dir.join(spool::RESULTS_FILE), &spec)
-            .map_err(SubmitError::Io)?;
+        // The header is the first durable line: a crash right after
+        // submit leaves a valid (0 rows completed) resume target.
+        let created = fs::File::create(dir.join(spool::RESULTS_FILE)).map_err(SubmitError::Io)?;
+        let mut file = JsonlSink::new(self.faults.wrap(created));
+        file.begin(&spec).map_err(SubmitError::Io)?;
 
         let mut entry = JobEntry::new(spec, dir);
         entry.file = Some(file);
@@ -826,44 +810,38 @@ impl JobManager {
                 entry.reason.as_deref().unwrap_or("unknown")
             ))),
             JobState::Cancelled => {
-                if entry.in_flight > 0 {
+                if entry.queue.in_flight() > 0 {
                     return Err(JobOpError::Conflict(format!(
                         "job {id} still has {} in-flight points from before the cancel; retry shortly",
-                        entry.in_flight
+                        entry.queue.in_flight()
                     )));
                 }
+                if entry.file.is_none() {
+                    // Recovered cancelled: recovery already repaired the
+                    // stream, so this reopen only appends.
+                    let results = entry.dir.join(spool::RESULTS_FILE);
+                    let existing = self
+                        .faults
+                        .read_to_string(&results)
+                        .map_err(JobOpError::Io)?;
+                    let outcome =
+                        scan_completed_at(&existing, &entry.spec).map_err(JobOpError::Conflict)?;
+                    let reopened =
+                        reopen_for_append(&results, &existing, &outcome).map_err(JobOpError::Io)?;
+                    entry.file = Some(JsonlSink::appending(self.faults.wrap(reopened)));
+                }
                 // Unwritten tail re-runs from scratch.
-                entry.pending = entry.pending.split_off(entry.emit_at);
-                entry.next_dispatch = 0;
-                entry.emit_at = 0;
-                entry.buffer.clear();
+                entry.queue.rewind();
                 if entry.deadline.take().is_some() {
                     // Un-arm the spent deadline on disk too, or a restart
                     // would re-expire the job immediately.
                     write_meta(&entry.dir, entry.priority, None, entry.token.as_deref())
                         .map_err(JobOpError::Io)?;
                 }
-                if entry.file.is_none() {
-                    let results = entry.dir.join(spool::RESULTS_FILE);
-                    let existing = self
-                        .faults
-                        .read_to_string(&results)
-                        .map_err(JobOpError::Io)?;
-                    let mut file = fs::OpenOptions::new()
-                        .append(true)
-                        .open(&results)
-                        .map_err(JobOpError::Io)?;
-                    // Recovery already truncated any torn tail; this only
-                    // restores a newline the tear consumed.
-                    if !existing.is_empty() && !existing.ends_with('\n') {
-                        file.write_all(b"\n").map_err(JobOpError::Io)?;
-                    }
-                    entry.file = Some(self.faults.wrap(file));
-                }
                 let _ = fs::remove_file(entry.dir.join(spool::CANCELLED_MARKER));
                 entry.reason = None;
                 entry.finished_at = None;
-                entry.state = if entry.pending.is_empty() {
+                entry.state = if entry.queue.unreleased() == 0 {
                     JobState::Done
                 } else {
                     JobState::Running
@@ -906,7 +884,7 @@ impl JobManager {
         let st = self.lock();
         st.jobs
             .get(id)
-            .map(|e| e.state != JobState::Running && e.in_flight == 0)
+            .map(|e| e.state != JobState::Running && e.queue.in_flight() == 0)
     }
 
     /// Block until `id` reaches a terminal quiescent state (true) or the
@@ -917,7 +895,7 @@ impl JobManager {
         loop {
             match st.jobs.get(id) {
                 None => return false,
-                Some(e) if e.state != JobState::Running && e.in_flight == 0 => return true,
+                Some(e) if e.state != JobState::Running && e.queue.in_flight() == 0 => return true,
                 Some(_) => {}
             }
             let Some(left) = deadline.checked_duration_since(Instant::now()) else {
@@ -930,7 +908,7 @@ impl JobManager {
                 return st
                     .jobs
                     .get(id)
-                    .is_some_and(|e| e.state != JobState::Running && e.in_flight == 0);
+                    .is_some_and(|e| e.state != JobState::Running && e.queue.in_flight() == 0);
             }
         }
     }
@@ -1007,9 +985,10 @@ impl JobManager {
             if !entry.dispatchable() {
                 continue;
             }
-            let index = entry.pending[entry.next_dispatch];
-            entry.next_dispatch += 1;
-            entry.in_flight += 1;
+            let index = entry
+                .queue
+                .claim()
+                .expect("dispatchable job has an unclaimed point");
             let spec = entry.spec.clone();
             if entry.dispatchable() {
                 st.rings[band].push_back(id.clone());
@@ -1080,7 +1059,7 @@ impl JobManager {
         let mut victims: Vec<String> = Vec::new();
         if let Some(age) = self.retain_age {
             for (id, e) in &st.jobs {
-                if e.state == JobState::Running || e.in_flight > 0 {
+                if e.state == JobState::Running || e.queue.in_flight() > 0 {
                     continue;
                 }
                 let Some(t) = e.finished_at else { continue };
@@ -1095,7 +1074,7 @@ impl JobManager {
                 .iter()
                 .filter(|(id, e)| {
                     matches!(e.state, JobState::Done | JobState::Failed)
-                        && e.in_flight == 0
+                        && e.queue.in_flight() == 0
                         && !victims.contains(id)
                 })
                 .filter_map(|(id, _)| spool::parse_job_id(id).map(|seq| (seq, id.clone())))
@@ -1133,40 +1112,27 @@ impl JobManager {
         }
     }
 
-    /// Deliver a completed row: reorder, write contiguous rows, flip the
+    /// Deliver a completed row: reorder, write released rows, flip the
     /// job to done when the last row lands. `elapsed_us` is the point's
     /// execution wall time (absent when instrumentation is off).
     fn deliver(&self, st: &mut ManagerState, id: &str, row: PointRow, elapsed_us: Option<u64>) {
         let mut completed = false;
         if let Some(entry) = st.jobs.get_mut(id) {
-            entry.in_flight = entry.in_flight.saturating_sub(1);
             if let Some(us) = elapsed_us {
                 entry.point_us.observe(us);
             }
             let was_done = entry.state == JobState::Done;
             let written_before = entry.written;
-            // Stale-delivery guard (e.g. a point re-dispatched after a
-            // cancel+resume while the original was still in flight): only
-            // rows for not-yet-durable pending positions enter the buffer.
-            if let Ok(pos) = entry.pending.binary_search(&row.index) {
-                if pos >= entry.emit_at {
-                    entry.buffer.insert(row.index, row);
-                }
-            }
-            while entry.emit_at < entry.pending.len() {
-                let want = entry.pending[entry.emit_at];
-                let Some(ready) = entry.buffer.remove(&want) else {
+            entry.queue.complete(row);
+            while let Some(file) = entry.file.as_mut() {
+                let Some(ready) = entry.queue.release() else {
                     break;
                 };
-                let is_err = ready.error.is_some();
-                let Some(file) = entry.file.as_mut() else {
-                    break;
-                };
-                // One write + flush per row (the sweep sink's own IO
-                // helper): the file is always a whole-line prefix, which
-                // is what makes it a crash checkpoint.
-                if let Err(e) = write_row_line(file, &ready) {
-                    let msg = format!("writing row {want}: {e}");
+                // One write + flush per row: the file is always a
+                // whole-line prefix, which is what makes it a crash
+                // checkpoint.
+                if let Err(e) = file.row(&ready) {
+                    let msg = format!("writing row {}: {e}", ready.index);
                     entry.state = JobState::Failed;
                     entry.reason = Some(msg.clone());
                     entry.finished_at = Some(SystemTime::now());
@@ -1177,13 +1143,12 @@ impl JobManager {
                     pom_obs::event(Level::Error, "job_failed", &[("job", id), ("error", &msg)]);
                     break;
                 }
-                entry.emit_at += 1;
                 entry.written += 1;
-                if is_err {
+                if ready.error.is_some() {
                     entry.errors += 1;
                 }
             }
-            if entry.emit_at == entry.pending.len() && entry.state != JobState::Failed {
+            if entry.queue.unreleased() == 0 && entry.state != JobState::Failed {
                 entry.file = None; // close the handle
                 if entry.state == JobState::Cancelled {
                     // An in-flight tail completed the job after cancel.
@@ -1260,15 +1225,7 @@ impl JobManager {
                 return;
             };
 
-            // One clock pair per point, only when instrumentation is on.
-            let t0 = pom_obs::enabled().then(Instant::now);
-            let row = run_point_ws(&spec, index, &mut ws);
-            let elapsed_us = t0.map(|t| t.elapsed().as_micros() as u64);
-            if let Some(us) = elapsed_us {
-                // Global sweep families too — the daemon bypasses
-                // run_campaign, so it must report its own points.
-                pom_sweep::record_external_point(us, row.error.is_some());
-            }
+            let (row, elapsed_us) = execute_point(&spec, index, &mut ws);
 
             let mut st = self.lock();
             if st.stop == Some(StopMode::Abort) {
@@ -1280,15 +1237,6 @@ impl JobManager {
             self.progress.notify_all();
         }
     }
-}
-
-/// Write the results header as the first durable line: a crash right
-/// after submit leaves a valid (0 rows completed) resume target.
-fn create_results(faults: &Faults, path: &Path, spec: &CampaignSpec) -> io::Result<SpoolFile> {
-    let mut file = faults.wrap(fs::File::create(path)?);
-    file.write_all(format!("{}\n", header_json(spec)).as_bytes())?;
-    file.flush()?;
-    Ok(file)
 }
 
 fn file_mtime(path: &Path) -> Option<SystemTime> {

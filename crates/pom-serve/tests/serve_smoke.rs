@@ -168,6 +168,72 @@ fn submission_backpressure_answers_429() {
 }
 
 #[test]
+fn panicking_point_is_an_error_row_and_the_worker_survives() {
+    let spool = temp_spool("panic");
+    // One worker: if the panic killed it, nothing after would ever run.
+    let server = start(&spool, 1, 16);
+    let addr = server.addr();
+
+    // The middle point's 2^62-sample trajectory overflows `Vec` capacity.
+    let panicky = r#"
+[campaign]
+name = "panicky"
+seed = 3
+observables = ["wave_speed"]
+[model]
+n = 8
+potential = "tanh"
+[topology]
+kind = "ring"
+[inject]
+rank = 0
+[sim]
+t_end = 10.0
+samples = 40
+[[axes]]
+key = "sim.samples"
+values = [40, 4611686018427387904, 40]
+"#;
+    let bad = json_str_field(&submit(addr, panicky).body, "job").unwrap();
+    let healthy = json_str_field(&submit(addr, &spec("after", "[4.0]", 5.0)).body, "job").unwrap();
+    assert!(wait_state(addr, &bad, "done", Duration::from_secs(120)));
+    assert!(wait_state(addr, &healthy, "done", Duration::from_secs(120)));
+
+    let status = request(addr, "GET", &format!("/jobs/{bad}"), None);
+    assert_eq!(
+        json_num_field(&status.body, "errors"),
+        Some(1),
+        "{}",
+        status.body
+    );
+    assert_eq!(
+        json_num_field(&status.body, "written"),
+        Some(3),
+        "{}",
+        status.body
+    );
+    // Same bytes as the CLI executor, error row included.
+    let rows = request(addr, "GET", &format!("/jobs/{bad}/rows"), None);
+    let reference = Campaign::from_str(panicky)
+        .unwrap()
+        .run_jsonl_string(1)
+        .unwrap();
+    assert_eq!(rows.body, reference);
+    assert!(rows.body.contains("capacity overflow"), "{}", rows.body);
+
+    let metrics = request(addr, "GET", "/metrics", None);
+    let errors = metrics
+        .body
+        .lines()
+        .find_map(|l| l.strip_prefix("pom_sweep_point_errors_total "))
+        .and_then(|v| v.parse::<u64>().ok());
+    assert!(errors.is_some_and(|n| n >= 1), "{}", metrics.body);
+
+    server.stop(StopMode::Drain);
+    let _ = fs::remove_dir_all(&spool);
+}
+
+#[test]
 fn invalid_requests_are_rejected_like_the_cli() {
     let spool = temp_spool("badreq");
     let server = start(&spool, 1, 16);

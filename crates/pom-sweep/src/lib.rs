@@ -14,8 +14,10 @@
 //!    ([`CampaignSpec::point_seed`]), never from execution order — so a
 //!    campaign is bitwise reproducible for any thread count.
 //! 3. **Parallel execution** ([`run_campaign`]): a self-balancing worker
-//!    pool fans points across cores; a reorder buffer streams finished
-//!    rows to the sink strictly in grid order.
+//!    pool claims points from one [`PointQueue`] (the same queue the
+//!    `pom serve` daemon keeps per job); its reorder buffer streams
+//!    finished rows to the sink strictly in grid order. A point that
+//!    fails, or panics, becomes an error row instead of ending the run.
 //! 4. **Streaming results** ([`JsonlSink`], [`CsvSink`]): rows appear as
 //!    they complete, each self-describing (point index, derived seed,
 //!    axis assignments, observables).
@@ -80,7 +82,10 @@ pub mod spec;
 pub mod value;
 
 pub use args::ArgError;
-pub use exec::{record_external_point, run_campaign, RunOptions, POINT_DURATION_METRIC};
+pub use exec::{
+    execute_point, reopen_for_append, run_campaign, run_campaign_with, PointQueue, RunOptions,
+    POINT_DURATION_METRIC,
+};
 pub use registry::{ArgKind, ArgSpec, CommandSpec, Parsed, Registry, RouteSpec, SectionSpec};
 pub use run::{run_point, run_point_ws, PointRow};
 pub use sink::{
@@ -158,17 +163,8 @@ impl Campaign {
             let existing = fs::read_to_string(path)?;
             let outcome = scan_completed_at(&existing, &self.spec).map_err(SweepError::Spec)?;
             if !outcome.done.is_empty() {
+                let file = reopen_for_append(path, &existing, &outcome)?;
                 opts.completed = outcome.done;
-                let mut file = fs::OpenOptions::new().append(true).open(path)?;
-                // An interrupt can tear the final line; truncate the torn
-                // fragment so the stream stays a whole-line prefix (the
-                // scanner already proved everything before it is intact).
-                if outcome.retain_len < existing.len() {
-                    file.set_len(outcome.retain_len as u64)?;
-                }
-                if outcome.needs_newline {
-                    file.write_all(b"\n")?;
-                }
                 return Ok((JsonlSink::appending(file), opts));
             }
         }

@@ -1,5 +1,7 @@
 //! Executing one grid point and computing its observables.
 
+use std::panic::{self, AssertUnwindSafe};
+
 use pom_analysis::{
     model_wave_speed_in, sim_wave_speed_in, RunSummaryProbe, WaveGeometry, Welford,
 };
@@ -39,24 +41,34 @@ pub fn run_point(spec: &CampaignSpec, index: usize) -> PointRow {
 /// this point performs (perturbed run, baseline run) borrows `ws`, so a
 /// worker thread sweeping thousands of points reuses one set of stage
 /// buffers throughout. Workspace reuse never changes results.
+///
+/// A panic inside the point (e.g. a capacity overflow from an absurd
+/// `sim.samples`) is caught and becomes an error row carrying the panic
+/// message, so one bad point cannot take down a worker or its campaign.
+/// The panic may have left `ws` half-written, so it is replaced with a
+/// fresh workspace.
 pub fn run_point_ws(spec: &CampaignSpec, index: usize, ws: &mut SimWorkspace) -> PointRow {
     let seed = spec.point_seed(index);
-    let params = spec.assignments_at(index);
-    match execute(spec, index, seed, ws) {
-        Ok(observables) => PointRow {
-            index,
-            seed,
-            params,
-            observables,
-            error: None,
-        },
-        Err(e) => PointRow {
-            index,
-            seed,
-            params,
-            observables: Vec::new(),
-            error: Some(e.to_string()),
-        },
+    let (observables, error) =
+        match panic::catch_unwind(AssertUnwindSafe(|| execute(spec, index, seed, &mut *ws))) {
+            Ok(Ok(observables)) => (observables, None),
+            Ok(Err(e)) => (Vec::new(), Some(e.to_string())),
+            Err(payload) => {
+                *ws = SimWorkspace::new();
+                let msg = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string payload");
+                (Vec::new(), Some(format!("point panicked: {msg}")))
+            }
+        };
+    PointRow {
+        index,
+        seed,
+        params: spec.assignments_at(index),
+        observables,
+        error,
     }
 }
 

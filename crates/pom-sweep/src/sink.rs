@@ -24,9 +24,6 @@ pub struct CampaignSummary {
     pub skipped: usize,
     /// Points whose row carries an error.
     pub errors: usize,
-    /// True when a [`crate::RunOptions::cancel`] flag stopped the run
-    /// before the grid was exhausted.
-    pub cancelled: bool,
 }
 
 /// Receives campaign output as it streams.
@@ -156,9 +153,15 @@ pub fn write_row_line(w: &mut impl Write, row: &PointRow) -> io::Result<()> {
 }
 
 impl<W: Write> ResultSink for JsonlSink<W> {
+    /// Writes the header line as one `write_all` plus one `flush`, the
+    /// contract [`write_row_line`] documents for rows: a crash right
+    /// after `begin` leaves a valid resume target with no rows.
     fn begin(&mut self, spec: &CampaignSpec) -> io::Result<()> {
         if !self.skip_header {
-            writeln!(self.writer, "{}", header_json(spec))?;
+            let mut line = header_json(spec);
+            line.push('\n');
+            self.writer.write_all(line.as_bytes())?;
+            self.writer.flush()?;
         }
         Ok(())
     }

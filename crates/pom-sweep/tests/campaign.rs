@@ -4,7 +4,10 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
-use pom_sweep::{Campaign, CsvSink, ResultSink, RunOptions};
+use pom_sweep::{
+    run_campaign_with, run_point_ws, Campaign, CsvSink, JsonlSink, MemorySink, ResultSink,
+    RunOptions,
+};
 
 /// Small, fast model campaign: 3 σ × 2 couplings = 6 points.
 const SPEC: &str = r#"
@@ -137,6 +140,13 @@ fn resume_completes_only_missing_points() {
     assert_eq!(full_rows, resumed_rows);
 
     assert!(campaign.missing_points(&path).unwrap().is_empty());
+
+    // A header-only file (interrupted before any row) is a valid resume
+    // target, and the completed output is bitwise identical to a clean run.
+    std::fs::write(&path, format!("{}\n", full.lines().next().unwrap())).unwrap();
+    let summary = campaign.run_jsonl_file(&path, 2, true).unwrap();
+    assert_eq!(summary.executed, 6);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
     let _ = std::fs::remove_file(&path);
 }
 
@@ -211,34 +221,6 @@ fn resume_tolerates_trailing_blank_lines() {
 }
 
 #[test]
-fn cancel_flag_stops_claiming_points_and_resume_completes() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let campaign = Campaign::from_str(SPEC).unwrap();
-    let path = tmp_path("cancel");
-    let _ = std::fs::remove_file(&path);
-    campaign.run_jsonl_file(&path, 2, false).unwrap();
-    let full = std::fs::read_to_string(&path).unwrap();
-    let _ = std::fs::remove_file(&path);
-
-    // Pre-cancelled run: workers claim nothing, summary says so.
-    let cancel = Arc::new(AtomicBool::new(true));
-    let (mut sink, opts) = campaign.jsonl_file_sink(&path, 2, false).unwrap();
-    let summary = campaign.run(&opts.with_cancel(cancel), &mut sink).unwrap();
-    drop(sink);
-    assert!(summary.cancelled);
-    assert_eq!(summary.executed, 0);
-
-    // The cancelled file (header only) is a valid resume target and the
-    // completed output is bitwise identical to the uninterrupted run.
-    let summary = campaign.run_jsonl_file(&path, 2, true).unwrap();
-    assert_eq!(summary.executed, 6);
-    assert_eq!(std::fs::read_to_string(&path).unwrap(), full);
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
 fn csv_sink_has_stable_columns() {
     let campaign = Campaign::from_str(SPEC).unwrap();
     let mut sink = CsvSink::new(Vec::<u8>::new());
@@ -299,6 +281,84 @@ fn failed_points_are_reported_not_fatal() {
     assert!(rows[0].error.is_none());
     let err = rows[1].error.as_deref().unwrap();
     assert!(err.contains("quux"), "{err}");
+}
+
+/// A wave campaign whose middle point panics inside the solver: a
+/// 2^62-sample trajectory overflows `Vec` capacity.
+const PANIC_SPEC: &str = r#"
+    [campaign]
+    name = "panicky"
+    seed = 3
+    observables = ["wave_speed"]
+    [model]
+    n = 8
+    potential = "tanh"
+    [topology]
+    kind = "ring"
+    [inject]
+    rank = 0
+    [sim]
+    t_end = 10.0
+    samples = 40
+    [[axes]]
+    key = "sim.samples"
+    values = [40, 4611686018427387904, 40]
+"#;
+
+#[test]
+fn panicking_point_becomes_an_error_row() {
+    let campaign = Campaign::from_str(PANIC_SPEC).unwrap();
+    let mut streams = Vec::new();
+    for threads in [1, 2] {
+        let mut sink = JsonlSink::new(Vec::new());
+        let summary = campaign
+            .run(&RunOptions::with_threads(threads), &mut sink)
+            .unwrap();
+        assert_eq!(
+            (summary.executed, summary.errors),
+            (3, 1),
+            "threads={threads}"
+        );
+        let text = String::from_utf8(sink.into_inner()).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "header + 3 rows:\n{text}");
+        for (i, line) in lines[1..].iter().enumerate() {
+            assert!(line.starts_with(&format!("{{\"point\":{i},")), "{line}");
+            assert_eq!(line.contains("\"error\""), i == 1, "{line}");
+        }
+        assert!(lines[2].contains("capacity overflow"), "{}", lines[2]);
+        streams.push(text);
+    }
+    assert_eq!(streams[0], streams[1], "1- and 2-thread streams must match");
+}
+
+#[test]
+fn panicking_runner_propagates_instead_of_hanging() {
+    // A runner that does not catch its own panic kills its worker; the
+    // executor must re-raise that panic, not wait forever for the row.
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let campaign = Campaign::from_str(SPEC).unwrap();
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut sink = MemorySink::default();
+            run_campaign_with(
+                &campaign.spec,
+                &RunOptions::with_threads(2),
+                &mut sink,
+                |index, _, ws| {
+                    assert_ne!(index, 1, "injected runner panic");
+                    run_point_ws(&campaign.spec, index, ws)
+                },
+            )
+        }));
+        let _ = tx.send(result.is_err());
+    });
+    let panicked = rx.recv_timeout(std::time::Duration::from_secs(60));
+    assert_eq!(
+        panicked,
+        Ok(true),
+        "the executor hung or swallowed the panic"
+    );
 }
 
 /// Streaming-only observables (`mean_r`, `min_r`, `max_gap`) ride the
