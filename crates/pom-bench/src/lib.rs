@@ -9,6 +9,7 @@
 //!    to the paper's claim — EXPERIMENTS.md collects these.
 
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use pom_ode::{OdeSystem, Rk4, Stepper, Workspace};
@@ -110,12 +111,18 @@ pub fn header(id: &str, claim: &str) {
     println!("================================================================");
 }
 
-/// Print the final verdict line (grepped by EXPERIMENTS.md tooling).
+/// Print the final verdict line (grepped by EXPERIMENTS.md tooling). A
+/// `DEVIATES` verdict then ends the process with exit status 1, so CI and
+/// scripts fail on a paper claim that no longer reproduces.
 pub fn verdict(ok: bool, detail: &str) {
     println!(
         "VERDICT: {} — {detail}",
         if ok { "REPRODUCED" } else { "DEVIATES" }
     );
+    if !ok {
+        std::io::stdout().flush().ok();
+        std::process::exit(1);
+    }
 }
 
 /// Check a file landed where expected (used by the smoke test).

@@ -84,26 +84,6 @@ pub fn growth_rate_smallq(coeffs: &TransportCoefficients, q: f64) -> f64 {
     -coeffs.diffusion * q * q
 }
 
-/// Nonlinear front-speed estimate for a *saturated* idle wave under a
-/// bounded potential: far behind the front the pull on each next
-/// oscillator saturates at `|V| = 1` per lagging neighbor, so the phase
-/// deficit needed to "hand the wave on" (one natural period, 2π-scaled to
-/// the detection threshold `eps`) is built up at rate `s · n_legs`,
-/// giving
-///
-/// ```text
-/// v_front ≈ s · Σ_{d in pulling legs} |d| / eps_cycles
-/// ```
-///
-/// The estimate is deliberately coarse (the paper's own speed statements
-/// are qualitative); the tests only pin the *scaling*: linear in `s`,
-/// growing with the leg count.
-pub fn front_speed_estimate(coupling_scale: f64, distances: &[i32], eps_cycles: f64) -> f64 {
-    assert!(eps_cycles > 0.0);
-    let reach: f64 = distances.iter().map(|d| d.unsigned_abs() as f64).sum();
-    coupling_scale * reach / eps_cycles
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,39 +146,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn front_speed_scales_linearly_in_coupling() {
-        let v1 = front_speed_estimate(0.5, &[-1, 1], 1.0);
-        let v2 = front_speed_estimate(1.0, &[-1, 1], 1.0);
-        assert!((v2 - 2.0 * v1).abs() < 1e-12);
-        // Wider stencil is faster.
-        let vw = front_speed_estimate(0.5, &[-2, -1, 1], 1.0);
-        assert!(vw > v1);
-    }
-
-    #[test]
-    fn front_speed_tracks_measured_wave_speed_scaling() {
-        // Empirical check against the measured model speeds from the
-        // repro_wave_speed experiment (≈ 0.5·βκ ranks/cycle with degree
-        // normalization, s = βκ/2 per neighbor): the estimate with
-        // eps = 1 cycle is s·2/1 = βκ — same linear scaling, same order
-        // of magnitude.
-        let s = |beta_kappa: f64| beta_kappa / 2.0;
-        for bk in [1.0, 2.0, 4.0] {
-            let est = front_speed_estimate(s(bk), &[-1, 1], 2.0);
-            let measured = 0.5 * bk; // repro_wave_speed fit
-            assert!(
-                est / measured > 0.5 && est / measured < 2.0,
-                "βκ = {bk}: estimate {est} vs measured {measured}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic]
-    fn front_speed_rejects_bad_eps() {
-        front_speed_estimate(1.0, &[-1, 1], 0.0);
     }
 }

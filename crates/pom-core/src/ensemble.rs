@@ -5,8 +5,9 @@
 //! interleaved `n·R`-dimensional system (see [`pom_ode::ensemble`] for the
 //! layout). It has no right-hand side of its own: it evaluates the rows of
 //! a single [`Pom`] (`rhs.rs`) at width R instead of width one, so one
-//! sin/cos pass, one stencil walk, one `τ` evaluation per shared-delay
-//! pair and one `ChunkPool` fork–join serve the whole batch.
+//! sin/cos pass, one stencil walk, one delay-node column and one `τ`
+//! interpolation per shared-delay pair and one `ChunkPool` fork–join serve
+//! the whole batch.
 //!
 //! ## Bitwise contract
 //!
@@ -68,7 +69,8 @@ fn count_ensemble(replicas: usize) {
 /// [`PomEnsemble::simulate_observed_ws`].
 pub struct PomEnsemble {
     members: Vec<Pom>,
-    /// Batched RHS scratch (`2·n·R` for the split kernel), separate from
+    /// Batched RHS scratch (`2·n·R` for the split kernel; the delay-node
+    /// table with one column, or R without shared delays), separate from
     /// the members' own single-run scratch.
     split_scratch: Mutex<SplitScratch>,
     /// Every member's delay field has the same fingerprint (same modelled

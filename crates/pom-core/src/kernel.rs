@@ -45,6 +45,8 @@
 
 use pom_topology::{CsrView, RingStencil};
 
+use crate::rhs::NodeTable;
+
 /// Selects how the oscillator coupling sum is evaluated.
 ///
 /// See the [module documentation](self) for the accuracy policy. The
@@ -104,25 +106,43 @@ impl RhsKernel {
     }
 }
 
-/// Reusable RHS scratch, two equal halves: the split kernel's `sin`/`cos`
-/// arrays (one slot each per state component), or the delay path's
-/// per-slot `τ`/phase windows. Lives behind a `Mutex` in the model and
-/// the ensemble because the ODE-solver contract evaluates the RHS through
-/// `&self`.
+/// Reusable RHS scratch. Lives behind a `Mutex` in the model and the
+/// ensemble because the ODE-solver contract evaluates the RHS through
+/// `&self`. It holds:
+///
+/// - two equal halves: the split kernel's `sin`/`cos` arrays (one slot each
+///   per state component), or the delay path's per-slot `τ`/phase windows;
+/// - the delay path's [`NodeTable`]: each CSR edge's two lattice nodes of
+///   the delay field, kept across evaluations and refreshed only when the
+///   lattice cell of `t` changes. Boxed on first use, so a model without
+///   delays carries one pointer for it.
 #[derive(Debug, Default)]
 pub(crate) struct SplitScratch {
     buf: Vec<f64>,
+    nodes: Option<Box<NodeTable>>,
 }
 
 impl SplitScratch {
     /// Borrow the `sin` and `cos` halves, grown to length `n` each.
     pub(crate) fn halves(&mut self, n: usize) -> (&mut [f64], &mut [f64]) {
-        if self.buf.len() < 2 * n {
-            self.buf.resize(2 * n, 0.0);
-        }
-        let (s, c) = self.buf.split_at_mut(n);
-        (s, &mut c[..n])
+        halves(&mut self.buf, n)
     }
+
+    /// The delay path's parts: the `τ` and phase halves (length `n` each)
+    /// and the node table.
+    pub(crate) fn delay_parts(&mut self, n: usize) -> (&mut [f64], &mut [f64], &mut NodeTable) {
+        let (taus, phases) = halves(&mut self.buf, n);
+        (taus, phases, self.nodes.get_or_insert_with(Box::default))
+    }
+}
+
+/// `buf` grown to `2·n` and split into two halves of length `n`.
+fn halves(buf: &mut Vec<f64>, n: usize) -> (&mut [f64], &mut [f64]) {
+    if buf.len() < 2 * n {
+        buf.resize(2 * n, 0.0);
+    }
+    let (s, c) = buf.split_at_mut(n);
+    (s, &mut c[..n])
 }
 
 // ---------------------------------------------------------------------------

@@ -71,7 +71,7 @@ pub mod simulate;
 pub mod stability;
 
 pub use builder::{PomBuilder, PomError};
-pub use continuum::{front_speed_estimate, transport_coefficients, TransportCoefficients};
+pub use continuum::{transport_coefficients, TransportCoefficients};
 pub use ensemble::PomEnsemble;
 pub use initial::InitialCondition;
 pub use kernel::RhsKernel;

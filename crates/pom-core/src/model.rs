@@ -68,10 +68,11 @@ pub struct Pom {
     /// Worker pool splitting one RHS evaluation across cores (absent for
     /// the default serial configuration).
     pub(crate) pool: Option<ChunkPool>,
-    /// RHS scratch (`sin`/`cos` arrays for the split kernel, `τ`/phase
-    /// windows for the delay path). The ODE contract evaluates the RHS
-    /// through `&self`, so the scratch sits behind a mutex; the lock is
-    /// uncontended (one integration drives one model at a time) and is
+    /// RHS scratch (`sin`/`cos` arrays for the split kernel; `τ`/phase
+    /// windows and the delay-node table for the delay path, the table
+    /// kept across evaluations and runs). The ODE contract evaluates the
+    /// RHS through `&self`, so the scratch sits behind a mutex; the lock
+    /// is uncontended (one integration drives one model at a time) and is
     /// taken once per evaluation, not per oscillator.
     pub(crate) split_scratch: Mutex<SplitScratch>,
 }

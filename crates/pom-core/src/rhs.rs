@@ -12,8 +12,13 @@
 //! accumulator whatever the width (ascending neighbor on the CSR and
 //! delay paths, offset order on the ring stencil), so replica `rep` of a
 //! batch is bitwise the independent run of member `rep`. No evaluation
-//! allocates: the `sin`/`cos` arrays and the delay path's per-slot
-//! `τ`/phase windows come from the caller's [`SplitScratch`].
+//! allocates: the `sin`/`cos` arrays, the delay path's per-slot `τ`/phase
+//! windows and its [`NodeTable`] come from the caller's [`SplitScratch`].
+//!
+//! The delay rows never build a lattice node of the delay field: the
+//! node table holds each CSR edge's two nodes of the current lattice cell
+//! and is refreshed only when `⌊t / corr_time⌋` changes, so within one
+//! correlation time an evaluation only interpolates.
 
 use std::f64::consts::TAU;
 use std::ops::Range;
@@ -25,6 +30,29 @@ use pom_ode::dde::PhaseHistory;
 use crate::kernel::{self, DesyncPair, PairTerm, RhsKernel, SinPair, SplitScratch, Width};
 use crate::model::{Pom, MIN_PAR_ROWS};
 use crate::potential::Potential;
+
+/// The delay fields' lattice nodes, aligned with the CSR edges: one
+/// column per distinct delay field (one when the members share theirs,
+/// else one per member), and per edge `e` and column `c` the two nodes
+/// `[a, b]` of the column's current lattice cell at `knots[e·cols + c]`.
+/// `delay_at(knots[e·cols + c], frac)` is bitwise `τ_ij(t)` for the
+/// edge's pair, so the rows never rebuild a node; the table costs
+/// `16 B × nnz × cols`.
+#[derive(Debug, Default)]
+pub(crate) struct NodeTable {
+    knots: Vec<[f64; 2]>,
+    cells: Vec<ColumnCell>,
+}
+
+/// One column's lattice position: the cell its knots hold, and the cell
+/// and in-cell position of the time being evaluated.
+#[derive(Debug, Clone, Copy, Default)]
+struct ColumnCell {
+    /// `None` until the column is first built.
+    built: Option<i64>,
+    k: i64,
+    frac: f64,
+}
 
 /// A borrowed view of `R = width.get()` structurally identical members
 /// (checked by [`crate::PomEnsemble::new`]): member 0 supplies the shared
@@ -187,10 +215,79 @@ impl<W: Width> Rhs<'_, W> {
         });
     }
 
+    /// The members whose delay fields are the node table's columns: the
+    /// lead alone when the fields are shared, else every member.
+    fn delay_columns(&self) -> &[Pom] {
+        if self.shared_delays {
+            &self.members[..1]
+        } else {
+            self.members
+        }
+    }
+
+    /// Bring every column of `table` to the lattice cell of `t`. A column
+    /// already there is left alone; on a step to the next cell its `b`
+    /// moves into `a` and only the new `b` is computed; any other move
+    /// computes both nodes. The edges are split over the row chunks.
+    fn refresh_nodes(&self, table: &mut NodeTable, t: f64) {
+        let csr = self.lead().topology.csr();
+        let columns = self.delay_columns();
+        let cols = columns.len();
+        let len = csr.col_idx().len() * cols;
+        if table.knots.len() != len || table.cells.len() != cols {
+            table.knots.clear();
+            table.knots.resize(len, [0.0; 2]);
+            table.cells.clear();
+            table.cells.resize(cols, ColumnCell::default());
+        }
+        let mut stale = false;
+        for (cell, m) in table.cells.iter_mut().zip(columns) {
+            (cell.k, cell.frac) = m.interaction_noise.cell(t);
+            stale |= cell.built != Some(cell.k);
+        }
+        if !stale {
+            return;
+        }
+
+        let knots = DisjointSliceMut::new(&mut table.knots);
+        let cells = &table.cells;
+        self.par_rows(|_slot, rows| {
+            let row_ptr = csr.row_ptr();
+            let edges = row_ptr[rows.start] as usize..row_ptr[rows.end] as usize;
+            // SAFETY: disjoint row ranges own disjoint edge ranges.
+            let chunk = unsafe { knots.range_mut(edges.start * cols..edges.end * cols) };
+            let mut per_edge = chunk.chunks_exact_mut(cols);
+            for i in rows {
+                for &j in csr.row(i) {
+                    let j = j as usize;
+                    let slots = per_edge.next().expect("one table entry per edge");
+                    for ((slot, cell), m) in slots.iter_mut().zip(cells).zip(columns) {
+                        let noise = &*m.interaction_noise;
+                        match cell.built {
+                            Some(built) if built == cell.k => {}
+                            Some(built) if built + 1 == cell.k => {
+                                *slot = [slot[1], noise.knot(i, j, cell.k + 1)];
+                            }
+                            _ => *slot = noise.knots(i, j, cell.k),
+                        }
+                    }
+                }
+            }
+        });
+        for cell in &mut table.cells {
+            cell.built = Some(cell.k);
+        }
+    }
+
     /// The delay RHS: per replica, the partner phase is read from the
     /// interleaved history at `(j, rep)` and `t − τ_ij(t)` of the
     /// replica's own delay field. Each pair reads a different past time,
     /// so there is no sin/cos precomputation: the pair math is exact.
+    ///
+    /// `τ_ij(t)` comes from the scratch's [`NodeTable`], refreshed first
+    /// under the scratch lock: the rows only interpolate each edge's two
+    /// stored lattice nodes, with the arithmetic of
+    /// [`InteractionNoise::tau`](pom_noise::InteractionNoise::tau).
     ///
     /// Neighbor-outer per row: when a pair's delay agrees bitwise across
     /// the replicas (always with shared delays), the `R` partner phases
@@ -207,7 +304,11 @@ impl<W: Width> Rhs<'_, W> {
         let stride = |r: usize| r + 8;
         let slots = m0.pool.as_ref().map_or(1, ChunkPool::threads);
         let mut guard = self.scratch.lock().expect("rhs scratch");
-        let (taus, phases) = guard.halves(slots * stride(self.width.get()));
+        let (taus, phases, nodes) = guard.delay_parts(slots * stride(self.width.get()));
+        self.refresh_nodes(nodes, t);
+        let nodes = &*nodes;
+        let columns = self.delay_columns();
+        let cols = columns.len();
         let (taus, phases) = (DisjointSliceMut::new(taus), DisjointSliceMut::new(phases));
         self.for_row_chunks(dtheta, |slot, start, out| {
             let r = self.width.get();
@@ -216,18 +317,23 @@ impl<W: Width> Rhs<'_, W> {
             // the window at its slot index.
             let (taus, phases) =
                 unsafe { (taus.range_mut(window.clone()), phases.range_mut(window)) };
+            let row_ptr = csr.row_ptr();
             for (row, out_row) in out.chunks_exact_mut(r).enumerate() {
                 let i = start + row;
                 out_row.fill(0.0);
                 let ti = &theta[i * r..(i + 1) * r];
-                for &j in csr.row(i) {
+                let first_edge = row_ptr[i] as usize;
+                for (e, &j) in (first_edge..).zip(csr.row(i)) {
                     let j = j as usize;
-                    if self.shared_delays {
-                        taus.fill(m0.interaction_noise.tau(i, j, t));
-                    } else {
-                        for (tau, m) in taus.iter_mut().zip(self.members) {
-                            *tau = m.interaction_noise.tau(i, j, t);
-                        }
+                    let knots = &nodes.knots[e * cols..(e + 1) * cols];
+                    for (((tau, m), &kn), cell) in
+                        taus.iter_mut().zip(columns).zip(knots).zip(&nodes.cells)
+                    {
+                        *tau = m.interaction_noise.delay_at(kn, cell.frac);
+                    }
+                    if cols == 1 {
+                        let shared = taus[0];
+                        taus.fill(shared);
                     }
                     let tau0 = taus[0];
                     if tau0 > 0.0 && taus.iter().all(|tau| tau.to_bits() == tau0.to_bits()) {

@@ -11,7 +11,8 @@
 //! A single run and a batch evaluate the same RHS rows (at width one and
 //! width R), so the differential suites pin the interleaved layout, the
 //! lockstep integration and the observer fan-out; the rows themselves are
-//! checked against an independent Eq. (2) reference at the end.
+//! checked against an independent Eq. (2) reference, and delay runs that
+//! cross many lattice cells of the delay field against golden hashes.
 
 use pom_core::{
     InitialCondition, Normalization, Pom, PomBuilder, PomEnsemble, Potential, RhsKernel,
@@ -404,4 +405,63 @@ fn exact_rhs_matches_the_eq2_reference_bitwise() {
             }
         }
     }
+}
+
+/// FNV-1a over the bit patterns of a state vector.
+fn state_hash(state: &[f64]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for byte in state.iter().flat_map(|x| x.to_bits().to_le_bytes()) {
+        h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden final states of delay runs that cross many lattice cells of
+/// the delay field (`corr_time = 0.1`, `t_end = 1.0`: cells 0 through 10),
+/// so every cell change of the τ lattice is exercised — as a single run
+/// and as an R = 3 ensemble sharing one field. The batched-vs-independent
+/// suites above compare two runs through the same RHS; these hashes pin
+/// the values themselves.
+#[test]
+fn dde_across_delay_cells_matches_golden_bits() {
+    let n = 16;
+    let member = |rep: usize| {
+        PomBuilder::new(n)
+            .topology(Topology::ring(n, &[-2, -1, 1]))
+            .potential(Potential::desync(2.5))
+            .compute_time(0.9)
+            .comm_time(0.1)
+            .coupling(3.0)
+            .local_noise(WhiteJitter::new(60 + rep as u64, 0.04, 0.3))
+            .interaction_noise(RandomCommDelay::new(2024, n, 0.08, 0.03, 0.1))
+            .build()
+            .unwrap()
+    };
+    let opts = SimOptions::new(1.0).solver(SolverChoice::FixedRk4 { h: 0.02 });
+
+    let single = member(0)
+        .simulate_observed(replica_init(3000), &opts, &mut pom_core::NoObserver)
+        .unwrap();
+    let inits: Vec<InitialCondition> = (0..3).map(|rep| replica_init(3000 + rep)).collect();
+    let ensemble = PomEnsemble::new((0..3).map(member).collect());
+    let mut observers = vec![pom_core::NoObserver; 3];
+    let batch = ensemble
+        .simulate_observed(&inits, &opts, &mut observers)
+        .unwrap();
+
+    let got: Vec<u64> = std::iter::once(&single)
+        .chain(&batch)
+        .map(|s| state_hash(s.final_state()))
+        .collect();
+    // Hashes of the states computed with a fresh `tau(i, j, t)` call per
+    // pair and evaluation; the single run is replica 0 of the batch.
+    assert_eq!(
+        got,
+        [
+            0x1ef3_9a03_cc54_acb4,
+            0x1ef3_9a03_cc54_acb4,
+            0x76eb_7f99_8232_2b9c,
+            0x67e5_55b9_ca59_105c,
+        ]
+    );
 }

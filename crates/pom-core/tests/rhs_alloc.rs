@@ -1,7 +1,9 @@
 //! The right-hand side allocates nothing per evaluation: a counting global
 //! allocator measures the bytes requested on every thread (`ChunkPool`
 //! workers included) by one `OdeSystem::eval` or `DdeSystem::eval` after a
-//! warm-up evaluation has grown the scratch. This binary holds a single
+//! warm-up evaluation has grown the scratch, and by delay evaluations in
+//! another lattice cell of the delay field than the warm-up's, which
+//! refresh the delay node table in place. This binary holds a single
 //! `#[test]`, so no other test allocates while a window is counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,6 +65,23 @@ fn dde_bytes(sys: &impl DdeSystem) -> usize {
     second_eval_bytes(|t| sys.eval(t, &y, &hist, &mut dy))
 }
 
+/// Bytes allocated by two `eval` calls after a warm-up at `t = 0.5`,
+/// each in another lattice cell of the delay field (`corr_time` 0.5):
+/// `t = 1.2` moves on to the next cell, `t = 0.2` jumps back two. Both
+/// refresh the delay node table inside the counted window.
+fn dde_refresh_bytes(sys: &impl DdeSystem) -> usize {
+    let y = state(sys.dim());
+    let mut dy = vec![0.0; sys.dim()];
+    let mut hist = HistoryBuffer::new(0.0, &y, &dy, InitialHistory::Constant(y.clone()));
+    hist.push(0.5, &y, &dy);
+    hist.push(1.2, &y, &dy);
+    sys.eval(0.5, &y, &hist, &mut dy);
+    let before = BYTES.load(SeqCst);
+    sys.eval(1.2, &y, &hist, &mut dy);
+    sys.eval(0.2, &y, &hist, &mut dy);
+    BYTES.load(SeqCst) - before
+}
+
 #[test]
 fn rhs_evaluation_allocates_nothing() {
     let mut failures = Vec::new();
@@ -93,6 +112,10 @@ fn rhs_evaluation_allocates_nothing() {
                 let case = format!("{kernel:?} noise={local_noise} threads={threads}");
                 check(format!("Pom ODE {case}"), ode_bytes(&member(0, None)));
                 check(format!("Pom DDE {case}"), dde_bytes(&member(0, Some(91))));
+                check(
+                    format!("Pom DDE cell change {case}"),
+                    dde_refresh_bytes(&member(0, Some(91))),
+                );
                 for r in [5usize, 16] {
                     let ens = PomEnsemble::new((0..r).map(|rep| member(rep, None)).collect());
                     check(format!("R={r} ODE {case}"), ode_bytes(&ens));
@@ -104,6 +127,10 @@ fn rhs_evaluation_allocates_nothing() {
                             (0..r).map(|rep| member(rep, Some(seed(rep)))).collect(),
                         );
                         check(format!("R={r} DDE shared={shared} {case}"), dde_bytes(&ens));
+                        check(
+                            format!("R={r} DDE shared={shared} cell change {case}"),
+                            dde_refresh_bytes(&ens),
+                        );
                     }
                 }
             }

@@ -10,9 +10,47 @@ use crate::rng::FrozenField;
 
 /// Pairwise communication delay: a deterministic function of the rank pair
 /// and time, always ≥ 0.
+///
+/// Every delay field is built on a time lattice. `τ_ij(t)` depends on `t`
+/// only through the lattice cell holding it ([`cell`](Self::cell)), and on
+/// the pair only through that cell's two nodes ([`knots`](Self::knots));
+/// [`delay_at`](Self::delay_at) maps the nodes and the position inside the
+/// cell to the delay. [`tau`](Self::tau) is exactly that composition, so a
+/// caller evaluating many pairs at nearby times can keep each pair's nodes
+/// and recompute them only when the cell changes, with the same bits:
+///
+/// ```
+/// use pom_noise::{InteractionNoise, RandomCommDelay};
+///
+/// let d = RandomCommDelay::new(7, 16, 0.1, 0.05, 0.5);
+/// let t = 1.3;
+/// let (k, frac) = d.cell(t);
+/// assert_eq!(d.tau(2, 3, t), d.delay_at(d.knots(2, 3, k), frac));
+/// // Moving on one cell keeps the shared node: b of cell k is a of k + 1.
+/// assert_eq!(d.knots(2, 3, k + 1)[0], d.knots(2, 3, k)[1]);
+/// ```
 pub trait InteractionNoise: Send + Sync {
+    /// The lattice cell holding `t`: its index `k` and the position
+    /// `frac ∈ [0, 1]` of `t` between the cell's two nodes.
+    fn cell(&self, t: f64) -> (i64, f64);
+
+    /// Lattice node `k` of the pair `(i, j)`: the first node of cell `k`
+    /// and the second of cell `k − 1`.
+    fn knot(&self, i: usize, j: usize, k: i64) -> f64;
+
+    /// The two nodes `[a, b]` of cell `k` for the pair `(i, j)`.
+    fn knots(&self, i: usize, j: usize, k: i64) -> [f64; 2] {
+        [self.knot(i, j, k), self.knot(i, j, k + 1)]
+    }
+
+    /// The delay at position `frac` of a cell whose nodes are `knots`.
+    fn delay_at(&self, knots: [f64; 2], frac: f64) -> f64;
+
     /// Delay `τ_ij(t)` in seconds.
-    fn tau(&self, i: usize, j: usize, t: f64) -> f64;
+    fn tau(&self, i: usize, j: usize, t: f64) -> f64 {
+        let (k, frac) = self.cell(t);
+        self.delay_at(self.knots(i, j, k), frac)
+    }
 
     /// A bound on the largest delay the model can produce (sizing the DDE
     /// history buffer).
@@ -25,8 +63,9 @@ pub trait InteractionNoise: Send + Sync {
     }
 
     /// Stable identity of the delay field: two models returning equal
-    /// `Some` values MUST produce bitwise-identical `tau(i, j, t)` for
-    /// every query. `None` means "unknown" and is never treated as shared.
+    /// `Some` values MUST produce bitwise-identical `cell`, `knot` and
+    /// `delay_at` (hence `tau(i, j, t)`) for every query. `None` means
+    /// "unknown" and is never treated as shared.
     ///
     /// Replicas of one scenario run on the same (modelled) machine, so
     /// they usually share the hardware's delay field while differing in
@@ -41,9 +80,16 @@ pub trait InteractionNoise: Send + Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoDelay;
 
+/// One cell whose two nodes are both 0.
 impl InteractionNoise for NoDelay {
-    fn tau(&self, _i: usize, _j: usize, _t: f64) -> f64 {
+    fn cell(&self, _t: f64) -> (i64, f64) {
+        (0, 0.0)
+    }
+    fn knot(&self, _i: usize, _j: usize, _k: i64) -> f64 {
         0.0
+    }
+    fn delay_at(&self, [a, _]: [f64; 2], _frac: f64) -> f64 {
+        a
     }
     fn max_delay(&self) -> f64 {
         0.0
@@ -71,9 +117,16 @@ impl ConstantDelay {
     }
 }
 
+/// One cell whose two nodes are both the delay.
 impl InteractionNoise for ConstantDelay {
-    fn tau(&self, _i: usize, _j: usize, _t: f64) -> f64 {
+    fn cell(&self, _t: f64) -> (i64, f64) {
+        (0, 0.0)
+    }
+    fn knot(&self, _i: usize, _j: usize, _k: i64) -> f64 {
         self.delay
+    }
+    fn delay_at(&self, [a, _]: [f64; 2], _frac: f64) -> f64 {
+        a
     }
     fn max_delay(&self) -> f64 {
         self.delay
@@ -121,10 +174,18 @@ impl RandomCommDelay {
     }
 }
 
+/// The lattice is the frozen field's: `τ` interpolates the pair's two
+/// standard-normal nodes exactly as [`FrozenField::sample`] does, then
+/// scales, shifts and clamps.
 impl InteractionNoise for RandomCommDelay {
-    fn tau(&self, i: usize, j: usize, t: f64) -> f64 {
-        let pair = i * self.stride + j;
-        let w = self.field.sample(pair, t);
+    fn cell(&self, t: f64) -> (i64, f64) {
+        self.field.cell(t)
+    }
+    fn knot(&self, i: usize, j: usize, k: i64) -> f64 {
+        self.field.node(i * self.stride + j, k)
+    }
+    fn delay_at(&self, [a, b]: [f64; 2], frac: f64) -> f64 {
+        let w = a + frac * (b - a);
         (self.mean + self.spread * w).clamp(0.0, self.max_delay())
     }
 
@@ -200,6 +261,39 @@ mod tests {
         }
         let mean = acc / n as f64;
         assert!((mean - 0.2).abs() < 0.01, "mean {mean}");
+    }
+
+    #[test]
+    fn random_delay_interpolates_the_frozen_field() {
+        let d = RandomCommDelay::new(4, 16, 0.1, 0.05, 0.25);
+        let field = FrozenField::new(4, 0.25);
+        for step in -8..40 {
+            let t = step as f64 * 0.07;
+            let want = (0.1 + 0.05 * field.sample(3 * 16 + 5, t)).clamp(0.0, d.max_delay());
+            assert_eq!(d.tau(3, 5, t).to_bits(), want.to_bits(), "t = {t}");
+        }
+    }
+
+    #[test]
+    fn consecutive_cells_share_a_knot() {
+        let fields: [&dyn InteractionNoise; 3] = [
+            &NoDelay,
+            &ConstantDelay::new(0.3),
+            &RandomCommDelay::new(4, 16, 0.1, 0.05, 0.25),
+        ];
+        for d in fields {
+            for k in -3..10 {
+                assert_eq!(d.knots(3, 5, k + 1)[0], d.knots(3, 5, k)[1]);
+            }
+            for step in -8..40 {
+                let (k, frac) = d.cell(step as f64 * 0.07);
+                assert!((0.0..=1.0).contains(&frac), "frac = {frac}");
+                assert_eq!(
+                    d.delay_at(d.knots(3, 5, k), frac),
+                    d.tau(3, 5, step as f64 * 0.07)
+                );
+            }
+        }
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl FrozenField {
     }
 
     /// Standard-normal value at lattice node `k` for `rank`.
-    fn node(&self, rank: usize, k: i64) -> f64 {
+    pub(crate) fn node(&self, rank: usize, k: i64) -> f64 {
         let h = SplitMix64::hash3(self.seed, rank as u64, k as u64);
         // Two 32-bit halves → two uniforms → Box–Muller cosine branch.
         let u1 = ((h >> 32) as f64 + 0.5) / 4294967296.0;
@@ -193,14 +193,20 @@ impl FrozenField {
         self.dt
     }
 
+    /// The lattice cell holding `t`: node index `k = ⌊t/dt⌋` and the
+    /// position `frac ∈ [0, 1]` of `t` between nodes `k` and `k + 1`.
+    pub(crate) fn cell(&self, t: f64) -> (i64, f64) {
+        let x = t / self.dt;
+        let k = x.floor();
+        (k as i64, x - k)
+    }
+
     /// Sample the field at time `t` for `rank` (standard-normal marginals,
     /// triangular autocorrelation of width `dt`).
     pub fn sample(&self, rank: usize, t: f64) -> f64 {
-        let x = t / self.dt;
-        let k = x.floor();
-        let frac = x - k;
-        let a = self.node(rank, k as i64);
-        let b = self.node(rank, k as i64 + 1);
+        let (k, frac) = self.cell(t);
+        let a = self.node(rank, k);
+        let b = self.node(rank, k + 1);
         a + frac * (b - a)
     }
 }

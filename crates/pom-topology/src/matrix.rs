@@ -148,14 +148,25 @@ impl fmt::Debug for Topology {
 }
 
 impl Topology {
-    /// Build from per-row sorted neighbor sets (internal).
-    fn from_rows(n: usize, rows: Vec<BTreeSet<u32>>, kind: TopologyKind) -> Self {
-        debug_assert_eq!(rows.len(), n);
+    /// Build row by row (internal): `neighbors(i, row)` pushes the
+    /// neighbors of rank `i` onto the empty `row` in any order, repeats
+    /// allowed; the CSR stores each row sorted and deduplicated. One
+    /// scratch row serves every rank, so no row allocates a set of its own.
+    fn from_row_fn(
+        n: usize,
+        kind: TopologyKind,
+        mut neighbors: impl FnMut(usize, &mut Vec<u32>),
+    ) -> Self {
         let mut row_ptr = Vec::with_capacity(n + 1);
         let mut col_idx = Vec::new();
+        let mut row = Vec::new();
         row_ptr.push(0u32);
-        for row in &rows {
-            col_idx.extend(row.iter().copied());
+        for i in 0..n {
+            row.clear();
+            neighbors(i, &mut row);
+            row.sort_unstable();
+            row.dedup();
+            col_idx.extend_from_slice(&row);
             row_ptr.push(col_idx.len() as u32);
         }
         Self {
@@ -176,44 +187,34 @@ impl Topology {
     /// Panics if `n == 0`.
     pub fn ring(n: usize, distances: &[i32]) -> Self {
         assert!(n > 0, "ring topology needs at least one rank");
-        let mut rows = vec![BTreeSet::new(); n];
-        for i in 0..n {
+        let kind = TopologyKind::Ring {
+            distances: dedup(distances),
+        };
+        Self::from_row_fn(n, kind, |i, row| {
             for &d in distances {
                 let j = (i as i64 + d as i64).rem_euclid(n as i64) as usize;
                 if j != i {
-                    rows[i].insert(j as u32);
+                    row.push(j as u32);
                 }
             }
-        }
-        Self::from_rows(
-            n,
-            rows,
-            TopologyKind::Ring {
-                distances: dedup(distances),
-            },
-        )
+        })
     }
 
     /// Open chain: like [`Topology::ring`] but neighbors falling outside
     /// `0..n` are dropped instead of wrapping.
     pub fn chain(n: usize, distances: &[i32]) -> Self {
         assert!(n > 0, "chain topology needs at least one rank");
-        let mut rows = vec![BTreeSet::new(); n];
-        for i in 0..n {
+        let kind = TopologyKind::Chain {
+            distances: dedup(distances),
+        };
+        Self::from_row_fn(n, kind, |i, row| {
             for &d in distances {
                 let j = i as i64 + d as i64;
                 if (0..n as i64).contains(&j) && j != i as i64 {
-                    rows[i].insert(j as u32);
+                    row.push(j as u32);
                 }
             }
-        }
-        Self::from_rows(
-            n,
-            rows,
-            TopologyKind::Chain {
-                distances: dedup(distances),
-            },
-        )
+        })
     }
 
     /// Full coupling: the connectivity of the plain Kuramoto model, which
@@ -221,47 +222,31 @@ impl Topology {
     /// provided for the contrast experiment.
     pub fn all_to_all(n: usize) -> Self {
         assert!(n > 0);
-        let mut rows = vec![BTreeSet::new(); n];
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    rows[i].insert(j as u32);
-                }
-            }
-        }
-        Self::from_rows(n, rows, TopologyKind::AllToAll)
+        Self::from_row_fn(n, TopologyKind::AllToAll, |i, row| {
+            row.extend((0..n as u32).filter(|&j| j as usize != i));
+        })
     }
 
     /// 2-D Cartesian grid (`nx × ny` ranks, row-major), 4-point stencil.
     pub fn grid2d(nx: usize, ny: usize, periodic: bool) -> Self {
         assert!(nx > 0 && ny > 0);
-        let n = nx * ny;
-        let mut rows = vec![BTreeSet::new(); n];
-        let idx = |x: usize, y: usize| (y * nx + x) as u32;
-        for y in 0..ny {
-            for x in 0..nx {
-                let i = idx(x, y) as usize;
-                let mut push = |xx: i64, yy: i64| {
-                    let (xx, yy) = if periodic {
-                        (xx.rem_euclid(nx as i64), yy.rem_euclid(ny as i64))
-                    } else {
-                        if !(0..nx as i64).contains(&xx) || !(0..ny as i64).contains(&yy) {
-                            return;
-                        }
-                        (xx, yy)
-                    };
-                    let j = idx(xx as usize, yy as usize);
-                    if j as usize != i {
-                        rows[i].insert(j);
-                    }
+        let kind = TopologyKind::Grid2d { nx, ny, periodic };
+        Self::from_row_fn(nx * ny, kind, |i, row| {
+            let (x, y) = ((i % nx) as i64, (i / nx) as i64);
+            for (xx, yy) in [(x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)] {
+                let (xx, yy) = if periodic {
+                    (xx.rem_euclid(nx as i64), yy.rem_euclid(ny as i64))
+                } else if (0..nx as i64).contains(&xx) && (0..ny as i64).contains(&yy) {
+                    (xx, yy)
+                } else {
+                    continue;
                 };
-                push(x as i64 - 1, y as i64);
-                push(x as i64 + 1, y as i64);
-                push(x as i64, y as i64 - 1);
-                push(x as i64, y as i64 + 1);
+                let j = yy as usize * nx + xx as usize;
+                if j != i {
+                    row.push(j as u32);
+                }
             }
-        }
-        Self::from_rows(n, rows, TopologyKind::Grid2d { nx, ny, periodic })
+        })
     }
 
     /// Arbitrary directed edge list `(i, j)` meaning "`i` depends on `j`"
@@ -271,14 +256,16 @@ impl Topology {
     /// Panics if an endpoint is `>= n`.
     pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
         assert!(n > 0);
-        let mut rows = vec![BTreeSet::new(); n];
+        let mut rows = vec![Vec::new(); n];
         for &(i, j) in edges {
             assert!(i < n && j < n, "edge ({i}, {j}) out of range for n = {n}");
             if i != j {
-                rows[i].insert(j as u32);
+                rows[i].push(j as u32);
             }
         }
-        Self::from_rows(n, rows, TopologyKind::Custom)
+        Self::from_row_fn(n, TopologyKind::Custom, |i, row| {
+            row.extend_from_slice(&rows[i])
+        })
     }
 
     /// Number of oscillators/ranks.
