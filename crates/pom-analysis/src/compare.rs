@@ -4,7 +4,7 @@
 //! model with the right potential/topology reproduces the qualitative
 //! behavior of the corresponding MPI run. This module runs both sides of
 //! one panel and reports a joint verdict used by the integration tests
-//! and the EXPERIMENTS.md generator.
+//! and `repro_fig2`.
 
 use pom_core::{fig2_model, Fig2Panel, InitialCondition, SimOptions};
 use pom_kernels::Kernel;
@@ -75,7 +75,7 @@ pub fn fig2_verdict(panel: Fig2Panel) -> Fig2Verdict {
     // Scalable panels use PISOLVER with the paper's short messages;
     // bottlenecked ones use the STREAM triad with 4 MB messages — the
     // non-negligible communication time is what lets the computational
-    // wavefront persist (see DESIGN.md §4).
+    // wavefront persist (paper §5.1.2).
     let kernel = if panel.scalable() {
         Kernel::pisolver()
     } else {

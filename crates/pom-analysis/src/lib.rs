@@ -18,12 +18,11 @@
 //! [`pom_mpisim::SimTrace`] and model [`pom_core::PomRun`]), [`desync`]
 //! the wavefront/resync diagnostics, [`stats`] the small regression
 //! toolbox used by the speed fits, and [`compare`] the model-vs-simulator
-//! agreement verdicts that EXPERIMENTS.md reports.
+//! agreement verdicts that `repro_fig2` prints.
 
 pub mod compare;
 pub mod desync;
 pub mod idlewave;
-pub mod spectral;
 pub mod stats;
 pub mod streaming;
 
@@ -34,6 +33,5 @@ pub use idlewave::{
     sim_wave_speed_in, trajectory_wave_arrivals, wave_speed_fit, wave_speed_fit_in, MeasuredWave,
     WaveArrival, WaveGeometry, WaveSpeed, WaveVerdict,
 };
-pub use spectral::{dominant_mode, mode_fraction, mode_power};
 pub use stats::{linear_fit, mean, std_dev, LinFit};
 pub use streaming::{OrderParameterProbe, PhaseGapProbe, RunSummaryProbe, WaveFrontProbe, Welford};

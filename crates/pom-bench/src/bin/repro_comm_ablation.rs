@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §8): how much communication time the simulated
+//! Ablation: how much communication time the simulated
 //! cluster needs for a *persistent* computational wavefront.
 //!
 //! The reproduction uncovered a sharp mechanism: with negligible message

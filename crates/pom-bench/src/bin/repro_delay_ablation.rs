@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §8): interaction noise τ_ij — the delay-equation
+//! Ablation: interaction noise τ_ij — the delay-equation
 //! coupling — versus the zero-delay approximation.
 //!
 //! Paper §3.1 includes τ_ij(t) but §6 leaves its exploration to future

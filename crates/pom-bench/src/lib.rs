@@ -1,12 +1,12 @@
 //! Shared harness for the per-figure reproduction binaries.
 //!
-//! Every `repro_*` binary regenerates one table/figure of the paper (see
-//! DESIGN.md §3 for the experiment index) and:
+//! Every `repro_*` binary regenerates one table/figure of the paper (the
+//! README lists them) and:
 //!
 //! 1. prints the series as an aligned text table to stdout,
 //! 2. writes CSV (and, where it makes sense, SVG) into `target/repro/`,
 //! 3. prints a `VERDICT:` line summarizing how the measured shape relates
-//!    to the paper's claim — EXPERIMENTS.md collects these.
+//!    to the paper's claim.
 
 use std::fs;
 use std::io::Write;
@@ -111,7 +111,7 @@ pub fn header(id: &str, claim: &str) {
     println!("================================================================");
 }
 
-/// Print the final verdict line (grepped by EXPERIMENTS.md tooling). A
+/// Print the final verdict line. A
 /// `DEVIATES` verdict then ends the process with exit status 1, so CI and
 /// scripts fail on a paper claim that no longer reproduces.
 pub fn verdict(ok: bool, detail: &str) {

@@ -22,8 +22,8 @@
 //! * desync, lockstep: `V'(0) < 0` ⇒ `D < 0` — **anti-diffusion**: the
 //!   continuum problem is ill-posed, short wavelengths blow up fastest —
 //!   exactly the symmetry-breaking instability (and why the emergent
-//!   pattern is the zigzag mode `m = N/2`, see
-//!   `pom_analysis::spectral`).
+//!   pattern is the zigzag mode `m = N/2`, checked in
+//!   `tests/paper_claims.rs`).
 //! * desync at `δ = 2σ/3`: `V' > 0` again ⇒ the wavefront state is
 //!   diffusive-stable.
 //! * asymmetric stencils (`Σ d ≠ 0`): `c ≠ 0` — disturbances *advect*

@@ -35,7 +35,7 @@ pub enum Normalization {
     ByN,
     /// Divide by the oscillator's degree — an extension that keeps the
     /// per-neighbor coupling independent of system size (used by the
-    /// scaling ablation; documented in DESIGN.md §8).
+    /// scaling ablation and the Fig. 2 presets).
     ByDegree,
 }
 

@@ -20,7 +20,7 @@
 //!
 //! The paper writes Eq. 3 in terms of `θ_j − θ_i` but Eq. 4 in terms of
 //! `θ_i − θ_j`. We use the single convention `x = θ_j − θ_i` throughout
-//! and require the *stated dynamics* (see DESIGN.md §1): with the forms
+//! and require the *stated dynamics* (paper §5): with the forms
 //! above, pair dynamics `ẋ = −2·(v_p/N)·V(x)`··· gives exactly the paper's
 //! claims — tanh: `x → 0` stable; desync: `x = 0` unstable,
 //! `|x| = 2σ/3` stable, attraction at long range. Unit tests pin each

@@ -121,8 +121,7 @@ pub fn fig2_model(panel: Fig2Panel, with_injection: bool) -> Result<Pom, PomErro
     // for a sparse ring at N = 40 makes idle waves ~20× slower (in cycles)
     // than in the MPI analog. The presets use degree normalization so one
     // model time unit corresponds to one compute–communicate cycle on
-    // both substrates; the potential/topology structure is unchanged
-    // (DESIGN.md §4 records this substitution).
+    // both substrates; the potential/topology structure is unchanged.
     let mut b = PomBuilder::new(FIG2_N)
         .topology(topology)
         .potential(panel.potential())

@@ -207,38 +207,76 @@ fn eval_once(model: &pom_core::Pom, n: usize) -> Vec<f64> {
     dtheta
 }
 
+/// The ring model of the continuum-scale runs: ±1 stencil, desync σ = 3,
+/// degree normalization.
+fn ring_model(n: usize, kernel: RhsKernel, rhs_threads: usize) -> pom_core::Pom {
+    PomBuilder::new(n)
+        .topology(Topology::ring(n, &[-1, 1]))
+        .potential(Potential::desync(3.0))
+        .compute_time(0.9)
+        .comm_time(0.1)
+        .coupling(4.0)
+        .normalization(Normalization::ByDegree)
+        .kernel(kernel)
+        .rhs_threads(rhs_threads)
+        .build()
+        .unwrap()
+}
+
 /// Intra-run parallelism must be invisible: chunked rows perform the same
 /// per-row arithmetic, so `rhs_threads` never changes a single bit — for
-/// the exact kernel *and* the split kernel. (n = 4096 exceeds the
-/// pool's minimum row count, so the threaded path really runs.)
+/// the exact kernel *and* the split kernel, and for `rhs_threads = 0`
+/// (all cores). Both sizes exceed the pool's minimum row count, so the
+/// threaded path really runs; n = 65536 is the continuum scale.
 #[test]
 fn rhs_threads_bitwise_invariant() {
-    let n = 4096;
-    for kernel in [RhsKernel::Exact, RhsKernel::SinCosSplit] {
-        let build = |threads: usize| {
-            PomBuilder::new(n)
-                .topology(Topology::ring(n, &[-1, 1]))
-                .potential(Potential::desync(3.0))
-                .compute_time(0.9)
-                .comm_time(0.1)
-                .coupling(4.0)
-                .normalization(Normalization::ByDegree)
-                .kernel(kernel)
-                .rhs_threads(threads)
-                .build()
-                .unwrap()
-        };
-        let serial = eval_once(&build(1), n);
-        for threads in [2, 3, 5] {
-            let par = eval_once(&build(threads), n);
-            assert!(
-                serial
-                    .iter()
-                    .zip(&par)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "{kernel:?} diverged at rhs_threads = {threads}"
-            );
+    for n in [4096, 65536] {
+        for kernel in [RhsKernel::Exact, RhsKernel::SinCosSplit] {
+            let serial = eval_once(&ring_model(n, kernel, 1), n);
+            for threads in [0, 2, 3, 5] {
+                let par = eval_once(&ring_model(n, kernel, threads), n);
+                assert!(
+                    serial
+                        .iter()
+                        .zip(&par)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{kernel:?} diverged at n = {n}, rhs_threads = {threads}"
+                );
+            }
         }
+    }
+}
+
+/// The split kernel stays within the accuracy policy after integration:
+/// 50 RK4 steps (h = 0.02) from a random spread move no component more
+/// than 1e-9 from the exact kernel's run. Every component is compared:
+/// on a ±1 ring a local defect takes thousands of steps to reach any one
+/// oscillator.
+#[test]
+fn split_kernel_drift_after_integration_within_policy() {
+    use pom_core::{NoObserver, SolverChoice};
+    let opts = SimOptions::new(50.0 * 0.02).solver(SolverChoice::FixedRk4 { h: 0.02 });
+    let init = InitialCondition::RandomSpread {
+        amplitude: 0.3,
+        seed: 1,
+    };
+    for n in [16, 256, 4096, 65536] {
+        let run = |kernel: RhsKernel| {
+            let summary = ring_model(n, kernel, 1)
+                .simulate_observed(init.clone(), &opts, &mut NoObserver)
+                .unwrap();
+            assert_eq!(summary.n_steps(), 50);
+            summary.final_state().to_vec()
+        };
+        let drift = run(RhsKernel::Exact)
+            .iter()
+            .zip(&run(RhsKernel::SinCosSplit))
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            drift < 1e-9,
+            "split kernel drifted {drift:e} from exact after 50 steps at n = {n}"
+        );
     }
 }
 

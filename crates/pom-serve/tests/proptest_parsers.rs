@@ -1,0 +1,122 @@
+//! Property tests for the hand-rolled parsers that read daemon input:
+//! the spec parsers of `pom_sweep::value` (job bodies) and the
+//! `tokens.toml` parser behind `auth=`. Arbitrary bytes and mutated
+//! copies of the example specs never panic, and every parsed value
+//! survives a render → `parse_json` round trip.
+
+use pom_serve::TokenBook;
+use pom_sweep::value::{parse_auto, parse_json, parse_toml, Value};
+use proptest::prelude::*;
+
+const SEEDS: [&str; 4] = [
+    include_str!("../../../examples/specs/ensemble_ci.toml"),
+    include_str!("../../../examples/specs/idle_wave_large.toml"),
+    include_str!("../../../examples/specs/sigma_sweep.toml"),
+    "[tokens.alice]\nmax_active_jobs = 2\nmax_total_points = 1000\n\n[tokens.bob]\n",
+];
+
+/// Bytes that steer mutations into the grammars' corners.
+const SYNTAX: &[u8] = b"[]{}\"=#,.:\\\n -+_0123456789eEunrtfalsetokens";
+
+fn byte() -> impl Strategy<Value = u8> {
+    prop_oneof![any::<u8>(), (0..SYNTAX.len()).prop_map(|i| SYNTAX[i])]
+}
+
+/// Apply edits of (position, byte, 0 = replace | 1 = insert | 2 = delete).
+fn mutate(seed: &str, edits: &[(usize, u8, u8)]) -> String {
+    let mut bytes = seed.as_bytes().to_vec();
+    for &(pos, b, kind) in edits {
+        let at = pos % (bytes.len() + 1);
+        match kind {
+            0 if at < bytes.len() => bytes[at] = b,
+            2 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, b),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Every parser returns instead of panicking; whatever parses renders to
+/// canonical JSON that parses back to the same canonical form, and an
+/// accepted token book holds a token.
+fn check(text: &str) {
+    let parsed = [parse_toml(text), parse_json(text), parse_auto(text)];
+    for v in parsed.into_iter().flatten() {
+        round_trips(&v);
+    }
+    if let Ok(book) = TokenBook::parse(text) {
+        assert!(!book.is_empty(), "accepted a book with no tokens: {text:?}");
+    }
+}
+
+fn round_trips(v: &Value) {
+    let canonical = v.canonical();
+    let back = parse_json(&canonical)
+        .unwrap_or_else(|e| panic!("canonical form does not parse ({e}): {canonical}"));
+    assert_eq!(back.canonical(), canonical);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2000))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
+        check(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn syntax_heavy_bytes_never_panic(bytes in prop::collection::vec(byte(), 0..512)) {
+        check(&String::from_utf8_lossy(&bytes));
+    }
+
+    #[test]
+    fn mutated_files_never_panic(
+        which in 0..SEEDS.len(),
+        edits in prop::collection::vec((any::<usize>(), byte(), 0u8..3), 1..9),
+    ) {
+        check(&mutate(SEEDS[which], &edits));
+    }
+}
+
+#[test]
+fn seed_files_parse_and_round_trip() {
+    for seed in SEEDS {
+        round_trips(&parse_toml(seed).expect("seed file parses"));
+    }
+    assert_eq!(TokenBook::parse(SEEDS[3]).unwrap().len(), 2);
+}
+
+/// The float `-0.0` renders as `-0`, which used to parse back as the
+/// integer 0 and so broke the round trip.
+#[test]
+fn negative_zero_round_trips() {
+    for text in ["-0.0", "[-0.0, -0, 0]", "{\"x\": -0e3}"] {
+        round_trips(&parse_json(text).unwrap());
+    }
+    let v = parse_toml("x = -0\ny = -0.0\n").unwrap();
+    assert_eq!(v.canonical(), r#"{"x":-0,"y":-0}"#);
+    round_trips(&v);
+}
+
+/// Nesting is bounded: a hostile document is an error, not a stack
+/// overflow that aborts the process parsing it (the daemon).
+#[test]
+fn deep_nesting_is_an_error() {
+    let deep = |s: &str| s.repeat(100_000);
+    for text in [
+        deep("["),
+        deep("[") + &deep("]"),
+        deep("{\"a\":") + &deep("}"),
+    ] {
+        let err = parse_json(&text).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+    }
+    let err = parse_toml(&format!("x = {}{}", deep("["), deep("]"))).unwrap_err();
+    assert!(err.message.contains("nest deeper"), "{err}");
+    // Spec-like depths still parse.
+    let shallow = format!("{}1{}", "[".repeat(100), "]".repeat(100));
+    round_trips(&parse_json(&shallow).unwrap());
+    round_trips(&parse_toml(&format!("x = {shallow}")).unwrap());
+}

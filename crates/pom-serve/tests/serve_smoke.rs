@@ -393,3 +393,38 @@ fn shutdown_route_requests_graceful_stop() {
     assert!(file.lines().count() >= 1, "{file}");
     let _ = fs::remove_dir_all(&spool);
 }
+
+#[test]
+fn drain_after_concurrent_clients_leaves_every_row_durable() {
+    let spool = temp_spool("drained-rows");
+    let server = start(&spool, 0, 64);
+    let addr = server.addr();
+
+    // Each client submits one-point jobs back to back and follows each
+    // one's rows to the end, as a load generator would.
+    let (clients, jobs_per_client) = (4, 3);
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            std::thread::spawn(move || {
+                for j in 0..jobs_per_client {
+                    let created = submit(addr, &spec(&format!("drain-{c}-{j}"), "[4.0]", 5.0));
+                    assert_eq!(created.status, 201, "{}", created.body);
+                    let id = json_str_field(&created.body, "job").unwrap();
+                    let rows = request(addr, "GET", &format!("/jobs/{id}/rows?follow=1"), None);
+                    assert!(rows.body.contains("\"point\""), "{}", rows.body);
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("client thread");
+    }
+
+    // The drained stop accounts for every submitted job as done, each
+    // with its one row written.
+    let submitted = clients * jobs_per_client;
+    let summary = server.stop(StopMode::Drain);
+    assert_eq!(summary.done, submitted, "{summary:?}");
+    assert_eq!(summary.rows_written, submitted, "{summary:?}");
+    let _ = fs::remove_dir_all(&spool);
+}

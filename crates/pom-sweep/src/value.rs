@@ -285,7 +285,7 @@ pub fn parse_toml(text: &str) -> Result<Value, ParseError> {
             if key.is_empty() || key.contains(' ') {
                 return Err(err(format!("bad key `{key}`")));
             }
-            let value = parse_toml_value(rest.trim()).map_err(err)?;
+            let value = parse_toml_value(rest.trim(), 0).map_err(err)?;
             let target = resolve_mut(&mut root, &current)
                 .ok_or_else(|| err("internal: lost current table".to_string()))?;
             let Value::Table(t) = target else {
@@ -389,10 +389,23 @@ fn resolve_mut<'a>(root: &'a mut Value, path: &[String]) -> Option<&'a mut Value
     Some(cur)
 }
 
-fn parse_toml_value(s: &str) -> Result<Value, String> {
+/// Deepest array/table nesting either parser accepts. Specs nest a few
+/// levels; the bound keeps a hostile document from overflowing the
+/// stack of the thread that parses it (a daemon connection handler).
+const MAX_NESTING: usize = 128;
+
+fn nesting_error() -> String {
+    format!("values nest deeper than {MAX_NESTING} levels")
+}
+
+/// Parse one TOML value nested `depth` arrays/inline tables deep.
+fn parse_toml_value(s: &str, depth: usize) -> Result<Value, String> {
     let s = s.trim();
     if s.is_empty() {
         return Err("missing value".to_string());
+    }
+    if s.starts_with(['[', '{']) && depth == MAX_NESTING {
+        return Err(nesting_error());
     }
     if let Some(rest) = s.strip_prefix('"') {
         let inner = rest
@@ -414,7 +427,7 @@ fn parse_toml_value(s: &str) -> Result<Value, String> {
         return Ok(Value::Array(
             split_top_level(inner)?
                 .into_iter()
-                .map(|item| parse_toml_value(item.trim()))
+                .map(|item| parse_toml_value(item.trim(), depth + 1))
                 .collect::<Result<_, _>>()?,
         ));
     }
@@ -432,7 +445,7 @@ fn parse_toml_value(s: &str) -> Result<Value, String> {
             let (k, v) = item
                 .split_once('=')
                 .ok_or_else(|| format!("inline table entry `{item}` is not key = value"))?;
-            t.insert(k.trim().to_string(), parse_toml_value(v.trim())?);
+            t.insert(k.trim().to_string(), parse_toml_value(v.trim(), depth + 1)?);
         }
         return Ok(Value::Table(t));
     }
@@ -497,7 +510,13 @@ fn unescape(s: &str) -> Result<String, String> {
 pub(crate) fn parse_number(s: &str) -> Result<Value, String> {
     let cleaned = s.replace('_', "");
     if !cleaned.contains(['.', 'e', 'E']) || cleaned.starts_with("0x") {
-        if let Ok(i) = cleaned.parse::<i64>() {
+        // `-0` stays a float: an integer has no negative zero, and `-0`
+        // is how [`Value::canonical`] renders the float `-0.0`.
+        if let Some(i) = cleaned
+            .parse::<i64>()
+            .ok()
+            .filter(|&i| i != 0 || !cleaned.starts_with('-'))
+        {
             return Ok(Value::Int(i));
         }
     }
@@ -515,7 +534,7 @@ pub(crate) fn parse_number(s: &str) -> Result<Value, String> {
 pub fn parse_json(text: &str) -> Result<Value, ParseError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = json_value(bytes, &mut pos)?;
+    let v = json_value(bytes, &mut pos, 0)?;
     json_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(json_err(pos, "trailing characters"));
@@ -536,10 +555,12 @@ fn json_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
+/// Parse one JSON value nested `depth` arrays/objects deep.
+fn json_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, ParseError> {
     json_ws(b, pos);
     match b.get(*pos) {
         None => Err(json_err(*pos, "unexpected end of input")),
+        Some(b'{' | b'[') if depth == MAX_NESTING => Err(json_err(*pos, &nesting_error())),
         Some(b'{') => {
             *pos += 1;
             let mut t = BTreeMap::new();
@@ -558,7 +579,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                     return Err(json_err(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                let v = json_value(b, pos)?;
+                let v = json_value(b, pos, depth + 1)?;
                 t.insert(key, v);
                 json_ws(b, pos);
                 match b.get(*pos) {
@@ -580,7 +601,7 @@ fn json_value(b: &[u8], pos: &mut usize) -> Result<Value, ParseError> {
                 return Ok(Value::Array(a));
             }
             loop {
-                a.push(json_value(b, pos)?);
+                a.push(json_value(b, pos, depth + 1)?);
                 json_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
