@@ -27,8 +27,8 @@
 //! with a fixed-step solver the two coincide; with an adaptive solver
 //! regions of small steps weigh proportionally more.
 
-use pom_core::observables::{order_parameter, phase_spread};
-use pom_ode::StepObserver;
+use pom_core::observables::{order_parameter, phase_spread, phase_summary, PhaseSummary};
+use pom_ode::{Accuracy, StepObserver};
 
 use crate::idlewave::{crossing_time, wave_speed_fit_in, MeasuredWave, WaveArrival, WaveGeometry};
 
@@ -150,7 +150,10 @@ impl OrderParameterProbe {
     }
 
     fn push(&mut self, y: &[f64]) {
-        let (r, _) = order_parameter(y);
+        self.fold(order_parameter(y).0);
+    }
+
+    fn fold(&mut self, r: f64) {
         self.stats.push(r);
         self.last = r;
     }
@@ -204,9 +207,12 @@ impl PhaseGapProbe {
         } else {
             sum / (y.len() - 1) as f64
         };
+        self.fold(mean, max, phase_spread(y));
+    }
+
+    fn fold(&mut self, mean: f64, max: f64, spread: f64) {
         self.mean_gap.push(mean);
         self.max_gap.push(max);
-        let spread = phase_spread(y);
         self.spread.push(spread);
         self.last_mean_gap = mean;
         self.last_spread = spread;
@@ -349,13 +355,22 @@ impl<B> std::fmt::Debug for WaveFrontProbe<B> {
 }
 
 /// The probe bundle behind `pom-sweep`'s streaming observables: order
-/// parameter plus gap/spread statistics, one pass, O(1) state.
+/// parameter plus gap/spread statistics, O(1) state.
+///
+/// Each sample is one [`phase_summary`] walk, whose trig follows the
+/// [`Accuracy`] the driver announced (`pom_core::Pom::simulate_observed`
+/// passes the model kernel's): `libm` by default and under
+/// `RhsKernel::Exact`, bitwise equal to [`OrderParameterProbe`] plus
+/// [`PhaseGapProbe`]; the split kernel's polynomial `sin`/`cos` under
+/// `RhsKernel::SinCosSplit`, where `r` falls under the same `~1e-12`
+/// policy as the run itself and the gap statistics stay bitwise.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummaryProbe {
     /// Order-parameter statistics.
     pub r: OrderParameterProbe,
     /// Gap and spread statistics.
     pub gaps: PhaseGapProbe,
+    accuracy: Accuracy,
 }
 
 impl RunSummaryProbe {
@@ -363,20 +378,36 @@ impl RunSummaryProbe {
     pub fn new() -> Self {
         Self::default()
     }
+
+    fn push(&mut self, y: &[f64]) {
+        let PhaseSummary {
+            r,
+            mean_gap,
+            max_gap,
+            spread,
+        } = phase_summary(y, self.accuracy);
+        self.r.fold(r);
+        self.gaps.fold(mean_gap, max_gap, spread);
+    }
 }
 
 impl StepObserver for RunSummaryProbe {
-    fn begin(&mut self, t0: f64, y0: &[f64]) {
-        self.r.begin(t0, y0);
-        self.gaps.begin(t0, y0);
+    fn accuracy(&mut self, accuracy: Accuracy) {
+        self.accuracy = accuracy;
     }
-    fn observe_step(&mut self, t: f64, y: &[f64]) {
-        self.r.observe_step(t, y);
-        self.gaps.observe_step(t, y);
+    fn begin(&mut self, _t0: f64, y0: &[f64]) {
+        // Full reset of the statistics (see `OrderParameterProbe`); the
+        // accuracy was announced for this run and holds until `finish`.
+        self.r = OrderParameterProbe::new();
+        self.gaps = PhaseGapProbe::new();
+        self.push(y0);
     }
-    fn finish(&mut self, t_end: f64, y_end: &[f64]) {
-        self.r.finish(t_end, y_end);
-        self.gaps.finish(t_end, y_end);
+    fn observe_step(&mut self, _t: f64, y: &[f64]) {
+        self.push(y);
+    }
+    fn finish(&mut self, _t_end: f64, _y_end: &[f64]) {
+        // A later run through a driver that announces nothing is `Exact`.
+        self.accuracy = Accuracy::Exact;
     }
 }
 

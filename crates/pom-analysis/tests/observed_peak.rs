@@ -11,8 +11,8 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 
 use pom_analysis::RunSummaryProbe;
 use pom_core::{
-    InitialCondition, Normalization, PomBuilder, Potential, RhsKernel, SimOptions, SimWorkspace,
-    SolverChoice,
+    InitialCondition, NoObserver, Normalization, PomBuilder, Potential, RhsKernel, SimOptions,
+    SimWorkspace, SolverChoice,
 };
 use pom_topology::Topology;
 
@@ -105,6 +105,20 @@ fn observed_path_peak_memory_is_linear_in_n() {
         assert!(
             p2 <= p1 + (64 << 10),
             "doubled horizon moved the observed peak {p1} → {p2} B at n = {n}"
+        );
+
+        // The probe itself adds no heap: on the warm workspace, the run
+        // with `RunSummaryProbe` peaks where the same run with no
+        // observer does. A per-sample scratch buffer in the probe fails
+        // here even though it never grows with the horizon.
+        let (_, bare) = peak_during(|| {
+            model
+                .simulate_observed_ws(init.clone(), &fixed_rk4(200), &mut NoObserver, &mut ws)
+                .expect("observed run")
+        });
+        assert!(
+            p1 <= bare + (64 << 10),
+            "RunSummaryProbe added heap: {bare} → {p1} B at n = {n}"
         );
 
         // The recording path, one sample per step, pays at least one

@@ -215,6 +215,8 @@ impl PomEnsemble {
                 let states: Vec<Vec<f64>> =
                     inits.iter().map(|init| init.phases(self.n())).collect();
                 let y0 = layout.pack(&states);
+                let accuracy = self.members[0].kernel().accuracy();
+                observers.iter_mut().for_each(|obs| obs.accuracy(accuracy));
                 let mut fan = EnsembleObserver::new(observers, layout);
                 let sum = if self.has_delays() {
                     // Retention window: the largest delay over all

@@ -43,6 +43,7 @@
 //! (`Tanh`) fall back to the exact per-pair math under this kernel and
 //! still benefit from flat-CSR iteration and chunked parallelism.
 
+use pom_ode::Accuracy;
 use pom_topology::{CsrView, RingStencil};
 
 use crate::rhs::NodeTable;
@@ -84,6 +85,9 @@ pub enum RhsKernel {
     Exact,
     /// Fast path: per-evaluation `sin`/`cos` arrays + the angle-addition
     /// expansion for sine-structured potentials; `~1e-12` from `Exact`.
+    /// The streamed statistics of an observed run (the order parameter of
+    /// `pom_analysis::RunSummaryProbe`) use the same polynomial `sin`/`cos`
+    /// and fall under the same policy.
     SinCosSplit,
 }
 
@@ -102,6 +106,15 @@ impl RhsKernel {
         match self {
             RhsKernel::Exact => "exact",
             RhsKernel::SinCosSplit => "sincos",
+        }
+    }
+
+    /// The arithmetic a run's streaming observers follow: the model drivers
+    /// pass it to [`pom_ode::StepObserver::accuracy`] before integrating.
+    pub fn accuracy(&self) -> Accuracy {
+        match self {
+            RhsKernel::Exact => Accuracy::Exact,
+            RhsKernel::SinCosSplit => Accuracy::Policy,
         }
     }
 }

@@ -85,4 +85,4 @@ pub use presets::{fig2_model, fig2_params, Fig2Panel};
 pub use simulate::{PomRun, SimOptions, SimSummary, SimWorkspace, SolverChoice};
 // The observer vocabulary of `Pom::simulate_observed`, re-exported so
 // model-level callers need not name `pom_ode` directly.
-pub use pom_ode::{NoObserver, ObserveEvery, StepObserver};
+pub use pom_ode::{Accuracy, NoObserver, ObserveEvery, StepObserver};

@@ -4,7 +4,12 @@
 //! phase diagram uses raw phases; the "standard view" shows
 //! `θ_i − ωt` *normalized to the slowest ("lagger") process as the
 //! baseline*; synchrony is quantified by the Kuramoto order parameter and
-//! by the phase spread.
+//! by the phase spread. [`phase_summary`] computes the streamed set (r,
+//! adjacent gaps, spread) in one walk, with the trig of the run's kernel.
+
+use pom_ode::Accuracy;
+
+use crate::kernel::sincos_pass;
 
 /// Kuramoto order parameter `r ∈ [0, 1]` and mean phase `ψ`:
 /// `r·e^{iψ} = (1/N)·Σ_j e^{iθ_j}`.
@@ -42,6 +47,86 @@ pub fn phase_spread(phases: &[f64]) -> f64 {
         hi = hi.max(p);
     }
     hi - lo
+}
+
+/// The per-sample reductions a streaming probe folds: the order parameter
+/// `r`, the mean and max absolute adjacent gap, and the phase spread.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PhaseSummary {
+    /// Kuramoto order parameter `r` (see [`order_parameter`]).
+    pub r: f64,
+    /// Mean of `|θ_{i+1} − θ_i|` over the `N − 1` adjacent pairs (0 for
+    /// `N = 1`).
+    pub mean_gap: f64,
+    /// Max of `|θ_{i+1} − θ_i|` (0 for `N = 1`).
+    pub max_gap: f64,
+    /// Phase spread (see [`phase_spread`]).
+    pub spread: f64,
+}
+
+/// Phases per stack block of the [`Accuracy::Policy`] sin/cos pass: large
+/// enough to amortize a pass call, small enough that a small system does
+/// not pay to zero a large buffer on every sample.
+const SUMMARY_BLOCK: usize = 128;
+
+/// [`order_parameter`]'s `r`, the adjacent-gap mean and max, and
+/// [`phase_spread`] in one walk over the phases.
+///
+/// Each accumulator folds in the same order as the separate functions, so
+/// under [`Accuracy::Exact`] (`libm` trig) every value is bitwise theirs.
+/// Under [`Accuracy::Policy`] the sin/cos come from the split kernel's
+/// polynomial array pass, filled block by block on the stack: `r` then
+/// stays within `~1e-12` of `Exact` (the `SinCosSplit` accuracy policy),
+/// and the gaps and the spread, which use no trig, stay bitwise equal.
+/// Allocates nothing.
+///
+/// # Panics
+/// Panics on an empty slice.
+pub fn phase_summary(phases: &[f64], accuracy: Accuracy) -> PhaseSummary {
+    assert!(!phases.is_empty(), "phase summary of an empty system");
+    let (mut re, mut im, mut lo, mut hi) = (0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY);
+    let (mut gap_sum, mut gap_max, mut prev) = (0.0, 0.0f64, None::<f64>);
+    let mut fold = |p: f64, cos: f64, sin: f64| {
+        re += cos;
+        im += sin;
+        lo = lo.min(p);
+        hi = hi.max(p);
+        if let Some(q) = prev {
+            let g = (p - q).abs();
+            gap_sum += g;
+            gap_max = gap_max.max(g);
+        }
+        prev = Some(p);
+    };
+    match accuracy {
+        Accuracy::Exact => {
+            for &p in phases {
+                fold(p, p.cos(), p.sin());
+            }
+        }
+        Accuracy::Policy => {
+            let (mut s, mut c) = ([0.0; SUMMARY_BLOCK], [0.0; SUMMARY_BLOCK]);
+            for xs in phases.chunks(SUMMARY_BLOCK) {
+                let (s, c) = (&mut s[..xs.len()], &mut c[..xs.len()]);
+                sincos_pass(1.0, xs, s, c);
+                for ((&p, &cj), &sj) in xs.iter().zip(c.iter()).zip(s.iter()) {
+                    fold(p, cj, sj);
+                }
+            }
+        }
+    }
+    let len = phases.len();
+    let (re, im) = (re / len as f64, im / len as f64);
+    PhaseSummary {
+        r: (re * re + im * im).sqrt(),
+        mean_gap: if len < 2 {
+            0.0
+        } else {
+            gap_sum / (len - 1) as f64
+        },
+        max_gap: gap_max,
+        spread: hi - lo,
+    }
 }
 
 /// The paper's standard view (§3.2): `θ_i − ωt`, shifted so the slowest
@@ -95,7 +180,143 @@ pub fn mean_abs_adjacent_difference(phases: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::f64::consts::{PI, TAU};
+
+    /// The composition [`phase_summary`] fuses: [`order_parameter`], the
+    /// `windows(2)` gap loop of the streaming gap probe, and
+    /// [`phase_spread`].
+    fn oracle(phases: &[f64]) -> PhaseSummary {
+        let (mut sum, mut max) = (0.0, 0.0f64);
+        for w in phases.windows(2) {
+            let g = (w[1] - w[0]).abs();
+            sum += g;
+            max = max.max(g);
+        }
+        PhaseSummary {
+            r: order_parameter(phases).0,
+            mean_gap: if phases.len() < 2 {
+                0.0
+            } else {
+                sum / (phases.len() - 1) as f64
+            },
+            max_gap: max,
+            spread: phase_spread(phases),
+        }
+    }
+
+    fn bits(s: PhaseSummary) -> [u64; 4] {
+        [s.r, s.mean_gap, s.max_gap, s.spread].map(f64::to_bits)
+    }
+
+    /// Under `Policy`: `r` within the split kernel's policy, the
+    /// trig-free gaps and spread bitwise.
+    fn assert_policy_matches_oracle(phases: &[f64]) {
+        let (got, want) = (phase_summary(phases, Accuracy::Policy), oracle(phases));
+        assert!(
+            (got.r - want.r).abs() <= 1e-12 || (got.r.is_nan() && want.r.is_nan()),
+            "n = {}: r {} vs libm {}",
+            phases.len(),
+            got.r,
+            want.r
+        );
+        assert_eq!(
+            bits(got)[1..],
+            bits(want)[1..],
+            "n = {}: gaps and spread",
+            phases.len()
+        );
+    }
+
+    /// Any `f64`: arbitrary bit patterns (NaNs, infinities, subnormals,
+    /// huge magnitudes) mixed with ordinary phases.
+    fn any_phase() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            -50.0f64..50.0,
+            -1e8f64..1e8,
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+        ]
+    }
+
+    /// Phase vectors across a few blocks: ordinary phases, anything, and
+    /// short vectors of anything (n = 1 and 2 included).
+    fn any_phases() -> impl Strategy<Value = Vec<f64>> {
+        prop_oneof![
+            prop::collection::vec(-50.0f64..50.0, 1..3 * SUMMARY_BLOCK),
+            prop::collection::vec(any_phase(), 1..3 * SUMMARY_BLOCK),
+            prop::collection::vec(any_phase(), 1..4),
+        ]
+    }
+
+    /// Phases where the `Policy` trig has a policy: simulated spans (the
+    /// split kernel's own accuracy test covers |θ| ≤ 50 at wavenumbers up
+    /// to 7.3), or beyond the polynomial's argument limit (1e6), where
+    /// every element falls back to `libm`. In between, the modulo-π
+    /// reduction error grows with |θ| (~1e-10 near 1e6).
+    fn policy_phases() -> impl Strategy<Value = Vec<f64>> {
+        let far = prop_oneof![
+            (any::<bool>(), 1e6f64 + 1.0..1e15).prop_map(|(neg, x)| if neg { -x } else { x }),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            -365.0f64..365.0,
+        ];
+        prop_oneof![
+            prop::collection::vec(-365.0f64..365.0, 1..3 * SUMMARY_BLOCK),
+            prop::collection::vec(far, 1..3 * SUMMARY_BLOCK),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(600))]
+
+        #[test]
+        fn phase_summary_exact_is_bitwise_the_composition(phases in any_phases()) {
+            prop_assert_eq!(bits(phase_summary(&phases, Accuracy::Exact)), bits(oracle(&phases)));
+        }
+
+        #[test]
+        fn phase_summary_policy_is_within_policy(phases in policy_phases()) {
+            assert_policy_matches_oracle(&phases);
+        }
+
+        /// Gaps and spread use no trig: bitwise under `Policy` for any input.
+        #[test]
+        fn phase_summary_policy_gaps_are_bitwise(phases in any_phases()) {
+            let (got, want) = (phase_summary(&phases, Accuracy::Policy), oracle(&phases));
+            prop_assert_eq!(bits(got)[1..], bits(want)[1..]);
+        }
+    }
+
+    #[test]
+    fn phase_summary_policy_across_block_edges() {
+        let mut rng = TestRng::deterministic("phase_summary_blocks");
+        let b = SUMMARY_BLOCK;
+        for n in [1, 7, b - 1, b, b + 1, 65536] {
+            let mut phases: Vec<f64> = (0..n).map(|_| 730.0 * rng.next_f64() - 365.0).collect();
+            assert_policy_matches_oracle(&phases);
+            assert_eq!(
+                bits(phase_summary(&phases, Accuracy::Exact)),
+                bits(oracle(&phases))
+            );
+            // Phases beyond the polynomial's argument limit take the
+            // `libm` fallback element by element, wherever they sit.
+            for (k, far) in [3e6, -2.5e7, 1e300].into_iter().enumerate() {
+                phases[(k * 37) % n] = far;
+            }
+            phases[n - 1] = 1e6 + 0.5;
+            assert_policy_matches_oracle(&phases);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty")]
+    fn phase_summary_rejects_empty() {
+        phase_summary(&[], Accuracy::Exact);
+    }
 
     #[test]
     fn order_parameter_synchronized() {

@@ -384,7 +384,10 @@ impl Pom {
     /// decimation wrap their observer in [`pom_ode::ObserveEvery`]. With
     /// interaction delays the method-of-steps history is pruned to the
     /// model's maximum delay window, so memory stays O(N · τ_max/h)
-    /// instead of O(N · steps).
+    /// instead of O(N · steps). Before integrating, the observer hears the
+    /// kernel's [`RhsKernel::accuracy`](crate::RhsKernel::accuracy)
+    /// through [`StepObserver::accuracy`], so its statistics follow the
+    /// kernel.
     ///
     /// Allocates fresh scratch; loops should hold a [`SimWorkspace`] and
     /// call [`Pom::simulate_observed_ws`].
@@ -431,6 +434,7 @@ impl Pom {
         let y0 = init.phases(self.n());
         let omega = self.omega();
         let (solver, h_cap) = self.resolve_solver(opts);
+        obs.accuracy(self.kernel().accuracy());
 
         let (t_end, n_steps, final_state) = match solver {
             SolverChoice::Dopri5 { rtol, atol } => {
@@ -483,9 +487,69 @@ impl Pom {
 mod tests {
     use super::*;
     use crate::builder::PomBuilder;
+    use crate::kernel::RhsKernel;
     use crate::potential::Potential;
+    use crate::PomEnsemble;
     use pom_noise::ConstantDelay;
+    use pom_ode::Accuracy;
     use pom_topology::Topology;
+
+    /// Records every accuracy announcement it hears.
+    #[derive(Debug, Default)]
+    struct Heard(Vec<Accuracy>);
+
+    impl StepObserver for Heard {
+        fn observe_step(&mut self, _t: f64, _y: &[f64]) {}
+        fn accuracy(&mut self, accuracy: Accuracy) {
+            self.0.push(accuracy);
+        }
+    }
+
+    #[test]
+    fn observers_hear_the_kernel_accuracy() {
+        let model = |kernel| {
+            PomBuilder::new(8)
+                .topology(Topology::ring(8, &[-1, 1]))
+                .potential(Potential::KuramotoSin)
+                .coupling(2.0)
+                .kernel(kernel)
+                .build()
+                .unwrap()
+        };
+        let init = InitialCondition::RandomSpread {
+            amplitude: 0.5,
+            seed: 4,
+        };
+        let fixed = SimOptions::new(0.1).solver(SolverChoice::FixedRk4 { h: 0.02 });
+        for (kernel, want) in [
+            (RhsKernel::Exact, Accuracy::Exact),
+            (RhsKernel::SinCosSplit, Accuracy::Policy),
+        ] {
+            let m = model(kernel);
+            for opts in [&fixed, &SimOptions::new(0.1)] {
+                let mut heard = Heard::default();
+                m.simulate_observed(init.clone(), opts, &mut heard).unwrap();
+                assert_eq!(heard.0, [want], "{kernel:?}");
+
+                // Through the decimating adapter and behind `&mut`.
+                let mut heard = Heard::default();
+                let mut every = ObserveEvery::new(&mut heard, 3);
+                m.simulate_observed(init.clone(), opts, &mut &mut every)
+                    .unwrap();
+                assert_eq!(heard.0, [want], "{kernel:?} via ObserveEvery");
+
+                // Each replica observer of an ensemble: lockstep batched
+                // (fixed step) and the sequential adaptive fallback.
+                let ens = PomEnsemble::new(vec![model(kernel), model(kernel)]);
+                let mut heard = [Heard::default(), Heard::default()];
+                ens.simulate_observed(&[init.clone(), init.clone()], opts, &mut heard)
+                    .unwrap();
+                for h in &heard {
+                    assert_eq!(h.0, [want], "{kernel:?} replica");
+                }
+            }
+        }
+    }
 
     fn scalable_model(n: usize) -> Pom {
         PomBuilder::new(n)

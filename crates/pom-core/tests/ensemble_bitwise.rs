@@ -14,9 +14,10 @@
 //! checked against an independent Eq. (2) reference, and delay runs that
 //! cross many lattice cells of the delay field against golden hashes.
 
+use pom_analysis::{RunSummaryProbe, Welford};
 use pom_core::{
     InitialCondition, Normalization, Pom, PomBuilder, PomEnsemble, Potential, RhsKernel,
-    SimOptions, SolverChoice,
+    SimOptions, SimWorkspace, SolverChoice,
 };
 use pom_noise::{RandomCommDelay, WhiteJitter};
 use pom_ode::observe::CollectObserver;
@@ -295,6 +296,53 @@ fn threaded_batched_rhs_is_bitwise_identical() {
             )
             .unwrap();
         assert_eq!(sum.final_state(), &batched[..], "replica {rep}");
+    }
+}
+
+/// The streamed run statistics under `SinCosSplit`, where each replica's
+/// `RunSummaryProbe` takes the polynomial sin/cos: the lockstep batch's
+/// per-replica statistics are bitwise those of independent runs — at a
+/// size inside one probe block and at a threaded size spanning many.
+#[test]
+fn split_kernel_run_summaries_match_independent_runs_bitwise() {
+    fn stats(p: &RunSummaryProbe) -> Vec<(u64, [u64; 3])> {
+        let w = |w: &Welford| (w.count(), [w.mean(), w.min(), w.max()].map(f64::to_bits));
+        vec![
+            w(&p.r.stats),
+            w(&p.gaps.mean_gap),
+            w(&p.gaps.max_gap),
+            w(&p.gaps.spread),
+        ]
+    }
+    let r = 3;
+    let opts = SimOptions::new(1.0).solver(SolverChoice::FixedRk4 { h: 0.02 });
+    for (variant, n, threads) in [
+        (Variant::SplitSinRing, 100, 1),
+        (Variant::SplitDesyncRing, 2100, 2),
+    ] {
+        let member = |rep: usize| build_member(variant, n, 3.0, threads, Some(60 + rep as u64));
+        let inits: Vec<InitialCondition> =
+            (0..r).map(|rep| replica_init(3000 + rep as u64)).collect();
+        let mut ws = SimWorkspace::new();
+        let want: Vec<_> = (0..r)
+            .map(|rep| {
+                let mut probe = RunSummaryProbe::new();
+                member(rep)
+                    .simulate_observed_ws(inits[rep].clone(), &opts, &mut probe, &mut ws)
+                    .unwrap();
+                stats(&probe)
+            })
+            .collect();
+
+        let ensemble = PomEnsemble::new((0..r).map(member).collect());
+        let mut probes: Vec<RunSummaryProbe> = (0..r).map(|_| RunSummaryProbe::new()).collect();
+        ensemble
+            .simulate_observed_ws(&inits, &opts, &mut probes, &mut ws)
+            .unwrap();
+        for rep in 0..r {
+            assert_eq!(probes[rep].r.stats.count(), 51, "{variant:?} replica {rep}");
+            assert_eq!(stats(&probes[rep]), want[rep], "{variant:?} replica {rep}");
+        }
     }
 }
 

@@ -82,7 +82,7 @@ pub use dopri5::{Dopri5, SolverStats};
 pub use ensemble::{EnsembleLayout, EnsembleObserver, EnsembleSystem};
 pub use error::OdeError;
 pub use fixed::{Euler, FixedStepSolver, Heun, Rk4, Stepper};
-pub use observe::{NoObserver, ObserveEvery, ObservedSummary, Record, StepObserver};
+pub use observe::{Accuracy, NoObserver, ObserveEvery, ObservedSummary, Record, StepObserver};
 pub use trajectory::Trajectory;
 pub use workspace::{ScratchPool, Workspace};
 

@@ -34,8 +34,26 @@
 //! Decimation composes via [`ObserveEvery`], which forwards every `k`-th
 //! step plus the final one, never duplicating the final sample. A
 //! decimated recording is `ObserveEvery::new(Record::default(), k)`.
+//!
+//! A driver that knows the arithmetic of the system it integrates may
+//! call [`StepObserver::accuracy`] before `begin`, so observers that
+//! compute transcendentals can match it (see [`Accuracy`]).
 
 use crate::trajectory::Trajectory;
+
+/// The arithmetic an observer may use for its own reductions, matching
+/// that of the system being integrated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Accuracy {
+    /// Bitwise reference arithmetic (`libm` transcendentals): the
+    /// observer's results must be reproducible across machines.
+    #[default]
+    Exact,
+    /// The system itself runs under a `~1e-12` accuracy policy, so the
+    /// observer may too (polynomial transcendentals, deterministic on a
+    /// given machine).
+    Policy,
+}
 
 /// Receives accepted solver steps as they happen.
 ///
@@ -60,6 +78,10 @@ pub trait StepObserver {
     fn wants_samples(&self) -> bool {
         true
     }
+
+    /// Called before `begin` by drivers that know the system's arithmetic;
+    /// an observer that never hears it keeps [`Accuracy::Exact`].
+    fn accuracy(&mut self, _accuracy: Accuracy) {}
 }
 
 /// The do-nothing observer: monomorphizes the observed step loops down to
@@ -87,6 +109,9 @@ impl<O: StepObserver + ?Sized> StepObserver for &mut O {
     }
     fn finish(&mut self, t_end: f64, y_end: &[f64]) {
         (**self).finish(t_end, y_end)
+    }
+    fn accuracy(&mut self, accuracy: Accuracy) {
+        (**self).accuracy(accuracy)
     }
 }
 
@@ -155,6 +180,10 @@ impl<O: StepObserver> StepObserver for ObserveEvery<O> {
             self.last_forwarded = true;
         }
         self.inner.finish(t_end, y_end);
+    }
+
+    fn accuracy(&mut self, accuracy: Accuracy) {
+        self.inner.accuracy(accuracy);
     }
 }
 

@@ -1,11 +1,17 @@
 //! Property tests for the hand-rolled parsers that read daemon input:
-//! the spec parsers of `pom_sweep::value` (job bodies) and the
-//! `tokens.toml` parser behind `auth=`. Arbitrary bytes and mutated
-//! copies of the example specs never panic, and every parsed value
-//! survives a render → `parse_json` round trip.
+//! the spec parsers of `pom_sweep::value` (job bodies), the `tokens.toml`
+//! parser behind `auth=`, and `scan_completed_at`, which reads a result
+//! file back on resume. Arbitrary bytes and mutated copies of the example
+//! specs never panic, and every parsed value survives a render →
+//! `parse_json` round trip. A result file cut at any byte scans to
+//! exactly the rows that survived the cut.
+
+use std::collections::HashSet;
+use std::sync::OnceLock;
 
 use pom_serve::TokenBook;
 use pom_sweep::value::{parse_auto, parse_json, parse_toml, Value};
+use pom_sweep::{scan_completed_at, Campaign};
 use proptest::prelude::*;
 
 const SEEDS: [&str; 4] = [
@@ -119,4 +125,92 @@ fn deep_nesting_is_an_error() {
     let shallow = format!("{}1{}", "[".repeat(100), "]".repeat(100));
     round_trips(&parse_json(&shallow).unwrap());
     round_trips(&parse_toml(&format!("x = {shallow}")).unwrap());
+}
+
+/// A small campaign and its clean JSONL result stream.
+fn clean_results() -> &'static (Campaign, String) {
+    static CLEAN: OnceLock<(Campaign, String)> = OnceLock::new();
+    CLEAN.get_or_init(|| {
+        let campaign = Campaign::from_str(
+            "[campaign]\nname = \"scan\"\nseed = 5\n\
+             observables = [\"final_r\", \"mean_abs_gap\"]\n\
+             [model]\nn = 6\npotential = \"desync\"\ncoupling = 2.0\n\
+             [sim]\nt_end = 1.0\n\
+             [[axes]]\nkey = \"model.sigma\"\nvalues = [0.5, 1.0, 2.0, 3.0, 4.0]\n",
+        )
+        .expect("scan campaign spec");
+        let text = campaign.run_jsonl_string(1).expect("scan campaign runs");
+        (campaign, text)
+    })
+}
+
+/// The resume scan returns instead of panicking; whatever it keeps is a
+/// prefix of the text that ends on a character boundary.
+fn check_scan(text: &str) {
+    if let Ok(out) = scan_completed_at(text, &clean_results().0.spec) {
+        assert!(out.retain_len <= text.len() && text.is_char_boundary(out.retain_len));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1000))]
+
+    #[test]
+    fn scan_of_arbitrary_text_never_panics(bytes in prop::collection::vec(byte(), 0..512)) {
+        check_scan(&String::from_utf8_lossy(&bytes));
+    }
+
+    /// Mutations after the header reach the row handling: torn, corrupt
+    /// and out-of-range rows.
+    #[test]
+    fn scan_of_mutated_results_never_panics(
+        edits in prop::collection::vec((any::<usize>(), byte(), 0u8..3), 1..9),
+    ) {
+        check_scan(&mutate(&clean_results().1, &edits));
+    }
+}
+
+/// A clean result file cut at every byte offset, as a crash mid-write
+/// leaves it: the scan accepts it, keeps at most the cut, keeps whole
+/// lines (or flags the one lost newline), and reports done exactly the
+/// points whose whole row lies inside the cut.
+#[test]
+fn scan_of_a_cut_result_file_keeps_whole_rows() {
+    let (campaign, text) = clean_results();
+    // (point, end of its row without the newline) for each row line.
+    let mut rows = Vec::new();
+    let mut end = 0;
+    for (k, line) in text.split_inclusive('\n').enumerate() {
+        end += line.len();
+        if k > 0 {
+            let point = parse_json(line.trim())
+                .unwrap()
+                .get("point")
+                .unwrap()
+                .as_i64();
+            rows.push((point.unwrap() as usize, end - 1));
+        }
+    }
+    assert_eq!(rows.len(), campaign.total_points());
+
+    for cut in (0..=text.len()).filter(|&c| text.is_char_boundary(c)) {
+        let out = scan_completed_at(&text[..cut], &campaign.spec)
+            .unwrap_or_else(|e| panic!("cut at {cut}: a torn tail is not corruption: {e}"));
+        assert!(
+            out.retain_len <= cut,
+            "cut at {cut}: retained {}",
+            out.retain_len
+        );
+        let kept = &text[..out.retain_len];
+        assert!(
+            kept.is_empty() || kept.ends_with('\n') || out.needs_newline,
+            "cut at {cut}: retained prefix ends mid-line"
+        );
+        let whole: HashSet<usize> = rows
+            .iter()
+            .filter(|&&(_, row_end)| row_end <= cut)
+            .map(|&(point, _)| point)
+            .collect();
+        assert_eq!(out.done, whole, "cut at {cut}");
+    }
 }

@@ -174,7 +174,7 @@ pub const SIMULATE: CommandSpec = CommandSpec {
         ArgSpec::new(
             "kernel",
             en(&["exact", "sincos"], "one of exact, sincos"),
-            "RHS kernel: bitwise libm reference or split sin/cos fast path",
+            "RHS kernel: bitwise libm reference or split sin/cos fast path; observe=1 statistics follow it",
         )
         .with_default("exact"),
         ArgSpec::new(
@@ -525,7 +525,7 @@ pub const SEC_MODEL: SectionSpec = SectionSpec {
         ArgSpec::new(
             "kernel",
             en(&["exact", "sincos"], "one of exact, sincos"),
-            "RHS kernel selection",
+            "RHS kernel selection; streamed mean_r/min_r/max_gap follow it",
         ),
         ArgSpec::new("rhs_threads", ArgKind::U64, "intra-point RHS threads"),
     ],
