@@ -4,7 +4,7 @@
 //! model with the right potential/topology reproduces the qualitative
 //! behavior of the corresponding MPI run. This module runs both sides of
 //! one panel and reports a joint verdict used by the integration tests
-//! and `repro_fig2`.
+//! and `repro F2`.
 
 use pom_core::{fig2_model, Fig2Panel, InitialCondition, SimOptions};
 use pom_kernels::Kernel;

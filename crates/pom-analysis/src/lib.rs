@@ -18,7 +18,7 @@
 //! [`pom_mpisim::SimTrace`] and model [`pom_core::PomRun`]), [`desync`]
 //! the wavefront/resync diagnostics, [`stats`] the small regression
 //! toolbox used by the speed fits, and [`compare`] the model-vs-simulator
-//! agreement verdicts that `repro_fig2` prints.
+//! agreement verdicts that `repro F2` prints.
 
 pub mod compare;
 pub mod desync;

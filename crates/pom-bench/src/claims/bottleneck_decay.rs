@@ -8,7 +8,7 @@
 //! wave amplitude (max per-rank delay vs. the unperturbed twin) iteration
 //! by iteration, plus what remains at the end.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
@@ -49,13 +49,7 @@ fn amplitude_series(pert: &SimTrace, base: &SimTrace) -> Vec<(f64, f64)> {
         .collect()
 }
 
-fn main() {
-    header(
-        "C2",
-        "memory-bound code damps idle waves even without noise; a residual \
-         computational wavefront remains (scalable code keeps the full delay)",
-    );
-
+pub(crate) fn check() -> Verdict {
     let scal_p = run(Kernel::pisolver(), 4_000_000, true);
     let scal_b = run(Kernel::pisolver(), 4_000_000, false);
     let mem_p = run(Kernel::stream_triad(), 4_000_000, true);
@@ -101,10 +95,10 @@ fn main() {
         && scal_final_skew < 5e-4               // …but resynchronizes
         && mem_final_amp < 0.4 * mem_peak_amp   // bottlenecked damps the wave
         && mem_final_skew > 1e-3; // …and keeps a wavefront
-    verdict(
+    Verdict {
         ok,
-        &format!(
+        detail: format!(
             "noise-free decay on the bottlenecked run: amplitude {mem_peak_amp:.1e} → {mem_final_amp:.1e} s with persistent {mem_final_skew:.1e} s wavefront; scalable run keeps the full {scal_final_amp:.1e} s delay but realigns"
         ),
-    );
+    }
 }

@@ -8,8 +8,8 @@
 //! wipes the computational wavefront each time — and with it the
 //! bottleneck-evasion dividend: per-iteration cost rises as K shrinks.
 
+use crate::{save, Verdict};
 use pom_analysis::residual_spread;
-use pom_bench::{header, save, verdict};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
@@ -35,13 +35,7 @@ fn run(allreduce_every: Option<usize>) -> SimTrace {
         .unwrap()
 }
 
-fn main() {
-    header(
-        "A-collectives",
-        "synchronizing collectives destroy the computational wavefront and its \
-         bottleneck-evasion dividend; barrier-free execution desynchronizes and runs faster",
-    );
-
+pub(crate) fn check() -> Verdict {
     println!(
         "{:>16}  {:>18}  {:>14}",
         "allreduce every", "residual skew [s]", "makespan [s]"
@@ -66,9 +60,9 @@ fn main() {
     // Barrier-free: macroscopic persistent wavefront. Every-2: skew wiped
     // and the run is slower.
     let ok = free.1 > 1e-3 && tight.1 < free.1 / 3.0 && tight.2 > free.2;
-    verdict(
+    Verdict {
         ok,
-        &format!(
+        detail: format!(
             "barrier-free skew {:.1e} s vs every-2-collectives {:.1e} s; makespan {:.4} → {:.4} s (collectives cost {:.1}%)",
             free.1,
             tight.1,
@@ -76,5 +70,5 @@ fn main() {
             tight.2,
             100.0 * (tight.2 / free.2 - 1.0)
         ),
-    );
+    }
 }

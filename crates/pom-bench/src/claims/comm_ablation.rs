@@ -7,11 +7,11 @@
 //! absorbed without a lasting wavefront. Only when communication time is
 //! non-negligible does the staggered state persist — consistent with the
 //! paper's Meggie runs, where the memory-bound codes exchanged data every
-//! sweep. This binary sweeps the message size and reports the residual
+//! sweep. This check sweeps the message size and reports the residual
 //! wavefront.
 
+use crate::{save, Verdict};
 use pom_analysis::residual_spread;
-use pom_bench::{header, save, verdict};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
@@ -35,13 +35,7 @@ fn residual_for(message_bytes: usize) -> f64 {
     residual_spread(&trace, 40)
 }
 
-fn main() {
-    header(
-        "A-comm",
-        "ablation: residual wavefront vs message size — contention alone \
-         resynchronizes; comm time makes the wavefront persist",
-    );
-
+pub(crate) fn check() -> Verdict {
     println!(
         "{:>12}  {:>16}  {:>18}",
         "msg [bytes]", "comm time [s]", "residual spread [s]"
@@ -69,11 +63,11 @@ fn main() {
         "\n8 B messages: residual {tiny_msgs:.2e} s (contention resyncs); \
          4 MB messages: residual {big_msgs:.2e} s (persistent wavefront)"
     );
-    verdict(
-        big_msgs > 20.0 * tiny_msgs && big_msgs > 1e-3,
-        &format!(
+    Verdict {
+        ok: big_msgs > 20.0 * tiny_msgs && big_msgs > 1e-3,
+        detail: format!(
             "wavefront persistence requires non-negligible comm: {:.0}× more residual skew at 4 MB than at 8 B",
             big_msgs / tiny_msgs
         ),
-    );
+    }
 }

@@ -6,7 +6,7 @@
 //! This experiment maps the territory: constant and random communication
 //! delays against the ODE baseline, for both potentials.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_core::{InitialCondition, Normalization, PomBuilder, Potential, SimOptions};
 use pom_noise::{ConstantDelay, NoDelay, RandomCommDelay};
 use pom_topology::Topology;
@@ -47,16 +47,7 @@ enum Delay {
     Random(f64, f64),
 }
 
-fn main() {
-    header(
-        "A-delay",
-        "ablation: delay coupling θ_j(t−τ) vs zero-delay. Small delays must not \
-         change the asymptotic verdicts; large delays are *expected* to shift the \
-         desync fixed point (the stale comparison θ_j(t−τ) adds ≈ τω to the \
-         effective phase difference, pushing it past the repulsive core) — the \
-         noise-function territory the paper defers to future work (§6)",
-    );
-
+pub(crate) fn check() -> Verdict {
     println!(
         "{:>10}  {:>18}  {:>10}  {:>12}",
         "potential", "delay", "final r", "mean |gap|"
@@ -116,8 +107,8 @@ fn main() {
         "\nfinding: const 0.2-cycle delay re-stabilizes lockstep under the desync\n\
          potential (τω ≈ 1.26 rad shifts the comparison past the repulsive core)."
     );
-    verdict(
-        tanh_ok && small_delay_ok && large_delay_resync,
-        "verdicts robust for τ ≤ 0.05 cycles; τ = 0.2 exhibits delay-induced resynchronization (documented)",
-    );
+    Verdict {
+        ok: tanh_ok && small_delay_ok && large_delay_resync,
+        detail: "verdicts robust for τ ≤ 0.05 cycles; τ = 0.2 exhibits delay-induced resynchronization (documented)".to_string(),
+    }
 }

@@ -5,16 +5,11 @@
 //! within `|x| < 2σ/3`, attractive beyond, constant past σ. The paper's
 //! plot uses x ∈ [−10, 10] with σ = 3.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_core::Potential;
 use pom_viz::{write_table, SvgCanvas};
 
-fn main() {
-    header(
-        "F1a",
-        "potential shapes: tanh attractive everywhere; desync potential repulsive \
-         at short range with first zero at 2σ/3, attractive at long range",
-    );
+pub(crate) fn check() -> Verdict {
     let sigma = 3.0;
     let tanh = Potential::tanh();
     let desync = Potential::desync(sigma);
@@ -85,8 +80,8 @@ fn main() {
     for (name, ok) in &checks {
         println!("  [{}] {name}", if *ok { "ok" } else { "FAIL" });
     }
-    verdict(
-        checks.iter().all(|c| c.1),
-        &format!("both potentials have the paper's shape; desync zero at {zero:.4} = 2σ/3"),
-    );
+    Verdict {
+        ok: checks.iter().all(|c| c.1),
+        detail: format!("both potentials have the paper's shape; desync zero at {zero:.4} = 2σ/3"),
+    }
 }

@@ -9,16 +9,11 @@
 // Index-as-rank loops are intentional here (the index is the rank id).
 #![allow(clippy::needless_range_loop)]
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_kernels::{saturation_point, scaling_curve, Kernel, SocketSpec};
 use pom_viz::{write_table, SvgCanvas};
 
-fn main() {
-    header(
-        "F1b",
-        "STREAM saturates at few cores; slow Schönauer saturates much later; \
-         PISOLVER draws no bandwidth (resource-scalable)",
-    );
+pub(crate) fn check() -> Verdict {
     let socket = SocketSpec::meggie();
     let kernels = Kernel::paper_kernels();
     let curves: Vec<_> = kernels
@@ -86,12 +81,12 @@ fn main() {
         && matches!(sat_slow, Some(c) if c >= 7)
         && sat_pi.is_none()
         && curves[2].iter().all(|p| p.aggregate_bw == 0.0);
-    verdict(
+    Verdict {
         ok,
-        &format!(
+        detail: format!(
             "saturation order matches the paper: STREAM at {} cores, slow triad at {} cores, PISOLVER never",
             sat_stream.unwrap_or(0),
             sat_slow.unwrap_or(0)
         ),
-    );
+    }
 }

@@ -3,20 +3,15 @@
 //! the MPI simulator produces the ITAC-like trace (inner images), the
 //! oscillator model the circular phase diagrams.
 
+use crate::{save, Verdict};
 use pom_analysis::fig2_verdict;
-use pom_bench::{header, save, verdict};
 use pom_core::{fig2_model, fig2_params, Fig2Panel, InitialCondition, SimOptions};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
 use pom_viz::{circle_svg, gantt_ascii, gantt_svg};
 
-fn main() {
-    header(
-        "F2",
-        "idle wave from one-off delay on rank 5; scalable codes resynchronize, \
-         bottlenecked codes keep a computational wavefront; wider stencil = faster wave",
-    );
+pub(crate) fn check() -> Verdict {
     let mut all_ok = true;
     let mut speeds = Vec::new();
 
@@ -98,8 +93,9 @@ fn main() {
         all_ok &= ratio_model > 1.3 && ratio_sim > 1.3;
     }
 
-    verdict(
-        all_ok,
-        "all four corner cases show the paper's asymptotic states on both substrates",
-    );
+    Verdict {
+        ok: all_ok,
+        detail: "all four corner cases show the paper's asymptotic states on both substrates"
+            .to_string(),
+    }
 }

@@ -9,7 +9,7 @@
 //! 3. no spontaneous desynchronization: the sin potential cannot produce
 //!    the bottlenecked wavefront state.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_core::{InitialCondition, Normalization, PomBuilder, Potential, SimOptions};
 use pom_noise::{DelayEvent, OneOffDelays};
 use pom_topology::Topology;
@@ -39,12 +39,7 @@ fn run_with_delay(topology: Topology, potential: Potential) -> pom_core::PomRun 
         .unwrap()
 }
 
-fn main() {
-    header(
-        "C5",
-        "plain Kuramoto (all-to-all, sin) = synchronizing barrier with phase slips; \
-         POM (sparse topology, tanh/desync) = finite-speed waves, slip-free, can desync",
-    );
+pub(crate) fn check() -> Verdict {
     let n = 24;
 
     // 1. Barrier effect: compare the peak phase spread after the same
@@ -144,8 +139,8 @@ fn main() {
         ),
     );
 
-    verdict(
-        barrier_ok && slip_ok && sin_no_wavefront && desync_wavefront,
-        "all three Kuramoto deficiencies demonstrated; POM fixes each",
-    );
+    Verdict {
+        ok: barrier_ok && slip_ok && sin_no_wavefront && desync_wavefront,
+        detail: "all three Kuramoto deficiencies demonstrated; POM fixes each".to_string(),
+    }
 }

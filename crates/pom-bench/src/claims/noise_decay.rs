@@ -8,8 +8,8 @@
 //! (the distance at which the excess delay falls below threshold) and the
 //! surviving amplitude at a fixed distance.
 
+use crate::{save, Verdict};
 use pom_analysis::sim_wave_arrivals;
-use pom_bench::{header, save, verdict};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
@@ -34,13 +34,7 @@ fn run(noise: f64, inject: bool) -> SimTrace {
         .unwrap()
 }
 
-fn main() {
-    header(
-        "C6",
-        "idle waves decay through interaction with system noise; a noise-free \
-         scalable system carries the wave undamped",
-    );
-
+pub(crate) fn check() -> Verdict {
     println!(
         "{:>12}  {:>12}  {:>18}",
         "noise σ [s]", "reach [rk]", "amp @ 10 ranks [s]"
@@ -80,11 +74,11 @@ fn main() {
         "\nsilent system: reach {} ranks, amplitude {:.2e} s; strongest noise: amplitude {:.2e} s",
         silent.1, silent.2, strongest.2
     );
-    verdict(
-        silent.1 >= 19 && damped && strongest.2 < 0.7 * silent.2,
-        &format!(
+    Verdict {
+        ok: silent.1 >= 19 && damped && strongest.2 < 0.7 * silent.2,
+        detail: format!(
             "noise damps the wave: surviving amplitude {:.1e} → {:.1e} s as σ grows to 0.4 t_comp",
             silent.2, strongest.2
         ),
-    );
+    }
 }

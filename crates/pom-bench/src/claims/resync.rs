@@ -8,7 +8,7 @@
 //! for pulls beyond π (it slips into a 2π-shifted state and, for a pull
 //! near 2π, barely registers a disturbance at all).
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_core::{InitialCondition, Normalization, PomBuilder, Potential, SimOptions};
 use pom_ode::events;
 use pom_topology::Topology;
@@ -49,13 +49,7 @@ fn recovery(potential: Potential, pull: f64) -> (Option<f64>, f64) {
     (t_sync, max_diff)
 }
 
-fn main() {
-    header(
-        "C3",
-        "tanh potential snaps any disturbance back to sync without phase slips; \
-         the periodic Kuramoto potential allows slips (its flaw, §2.2.2)",
-    );
-
+pub(crate) fn check() -> Verdict {
     println!(
         "{:>10}  {:>12}  {:>16}  {:>16}",
         "pull [rad]", "potential", "t(r>0.999)", "final max|Δθ|"
@@ -132,8 +126,9 @@ fn main() {
     );
     println!("\npulled oscillator re-enters the 0.1 rad corridor at t = {t_corridor:?}");
 
-    verdict(
-        tanh_ok && slip_seen && t_corridor.is_some(),
-        "tanh snaps back from every pull without slips; Kuramoto sin slips for large pulls",
-    );
+    Verdict {
+        ok: tanh_ok && slip_seen && t_corridor.is_some(),
+        detail: "tanh snaps back from every pull without slips; Kuramoto sin slips for large pulls"
+            .to_string(),
+    }
 }

@@ -9,7 +9,7 @@
 //!
 //! Both sweeps run as declarative `pom-sweep` campaigns across all cores.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_sweep::Campaign;
 use pom_viz::write_table;
 
@@ -88,13 +88,7 @@ fn wave_campaign() -> Campaign {
     Campaign::from_str(&spec).expect("wave campaign spec")
 }
 
-fn main() {
-    header(
-        "C4",
-        "gaps settle at 2σ/3; small σ = stiff/near-sync, large σ = strong desync; \
-         σ anticorrelates with wave speed (3× stiffer ⇒ 3× faster, smaller spread)",
-    );
-
+pub(crate) fn check() -> Verdict {
     let gap_rows = gap_campaign().run_collect(0).expect("gap campaign");
     let wave_rows = wave_campaign().run_collect(0).expect("wave campaign");
 
@@ -150,10 +144,10 @@ fn main() {
     let speed_trend_ok = speeds.windows(2).all(|w| w[1].1 <= w[0].1 * 1.15);
     let ratio_bd = gap_b / gap_d;
 
-    verdict(
-        law_ok && monotone_gap && speed_trend_ok && (ratio_bd - 3.0).abs() < 0.3,
-        &format!(
+    Verdict {
+        ok: law_ok && monotone_gap && speed_trend_ok && (ratio_bd - 3.0).abs() < 0.3,
+        detail: format!(
             "2σ/3 law holds within 5% across σ ∈ [0.5, 6]; gap scales {ratio_bd:.2}× for the 3× stiffness step"
         ),
-    );
+    }
 }

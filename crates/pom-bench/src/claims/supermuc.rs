@@ -3,8 +3,8 @@
 //! SuperMUC-NG-like cluster spec — different core counts, bandwidth and
 //! frequencies — and check the *qualitative* conclusions are unchanged.
 
+use crate::{save, Verdict};
 use pom_analysis::{residual_spread, sim_wave_arrivals, wave_speed_fit};
-use pom_bench::{header, save, verdict};
 use pom_kernels::Kernel;
 use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
 use pom_topology::{ClusterSpec, Placement};
@@ -30,14 +30,7 @@ fn run(spec: ClusterSpec, kernel: Kernel, msg: usize, inject: bool) -> SimTrace 
         .unwrap()
 }
 
-fn main() {
-    header(
-        "A-portability",
-        "the qualitative Fig. 2 conclusions survive a cluster swap \
-         (Meggie → SuperMUC-NG-like): scalable resyncs, bottlenecked keeps \
-         a wavefront, waves propagate at ~1 rank/iteration",
-    );
-
+pub(crate) fn check() -> Verdict {
     let mut rows = Vec::new();
     let mut ok = true;
     for (name, spec) in [
@@ -75,8 +68,8 @@ fn main() {
             &rows,
         ),
     );
-    verdict(
+    Verdict {
         ok,
-        "both clusters show the same qualitative split: resync (scalable) vs wavefront (memory-bound), ~1 rank/iter waves",
-    );
+        detail: "both clusters show the same qualitative split: resync (scalable) vs wavefront (memory-bound), ~1 rank/iter waves".to_string(),
+    }
 }

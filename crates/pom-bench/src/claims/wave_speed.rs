@@ -9,7 +9,7 @@
 //! over a coupling axis, the simulator sweep over a zipped
 //! distances/protocol axis.
 
-use pom_bench::{header, save, verdict};
+use crate::{save, Verdict};
 use pom_mpisim::MpiProtocol;
 use pom_sweep::Campaign;
 use pom_viz::write_table;
@@ -80,13 +80,7 @@ fn sim_campaign() -> Campaign {
     .expect("sim campaign spec")
 }
 
-fn main() {
-    header(
-        "C1",
-        "idle-wave speed grows with βκ; βκ≈0 = free processes; \
-         eager→rendezvous doubles the dependency range",
-    );
-
+pub(crate) fn check() -> Verdict {
     // --- model sweep ---
     println!("model (ring ±1, tanh), speed vs βκ:");
     println!("{:>8}  {:>16}", "βκ", "speed [rk/cycle]");
@@ -163,11 +157,11 @@ fn main() {
     // Wider stencils are faster; the -3 leg beats the -2 leg.
     let stencil_ok = sim_speeds[2] > sim_speeds[0] && sim_speeds[3] > sim_speeds[2];
 
-    verdict(
-        monotone && free_ok && stencil_ok,
-        &format!(
+    Verdict {
+        ok: monotone && free_ok && stencil_ok,
+        detail: format!(
             "model speed monotone in βκ ({} points), free at βκ=0; simulator speed grows with stencil reach",
             speeds.len()
         ),
-    );
+    }
 }

@@ -28,7 +28,7 @@
 //!   diffusive-stable.
 //! * asymmetric stencils (`Σ d ≠ 0`): `c ≠ 0` — disturbances *advect*
 //!   through rank space, the continuum image of the one-sided idle-wave
-//!   transport measured in `repro_wave_speed`.
+//!   transport measured by `repro C1`.
 
 // Index-as-rank loops are intentional here (the index is the rank id).
 #![allow(clippy::needless_range_loop)]

@@ -45,39 +45,6 @@ pub fn pisolver(steps: u64) -> f64 {
     sum * w
 }
 
-/// Partition `steps` PISOLVER steps across `ranks` workers (the MPI
-/// decomposition): returns each rank's `(first_step, count)`.
-pub fn pisolver_partition(steps: u64, ranks: u64) -> Vec<(u64, u64)> {
-    assert!(ranks > 0);
-    let base = steps / ranks;
-    let extra = steps % ranks;
-    let mut out = Vec::with_capacity(ranks as usize);
-    let mut start = 0;
-    for r in 0..ranks {
-        let count = base + u64::from(r < extra);
-        out.push((start, count));
-        start += count;
-    }
-    out
-}
-
-/// PISOLVER partial sum for one rank's slice (no final `× w` scaling;
-/// combine with [`pisolver_reduce`]).
-pub fn pisolver_partial(first: u64, count: u64, steps: u64) -> f64 {
-    let w = 1.0 / steps as f64;
-    let mut sum = 0.0;
-    for k in first..first + count {
-        let x = (k as f64 + 0.5) * w;
-        sum += 4.0 / (1.0 + x * x);
-    }
-    sum
-}
-
-/// Combine partial sums into the final π estimate.
-pub fn pisolver_reduce(partials: &[f64], steps: u64) -> f64 {
-    partials.iter().sum::<f64>() / steps as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,27 +58,6 @@ mod tests {
         let coarse = (pisolver(1_000) - PI).abs();
         let fine = (pisolver(10_000) - PI).abs();
         assert!(fine < coarse / 50.0);
-    }
-
-    #[test]
-    fn parallel_pisolver_matches_serial() {
-        let steps = 50_000;
-        for ranks in [1u64, 3, 7, 16] {
-            let parts = pisolver_partition(steps, ranks);
-            assert_eq!(parts.iter().map(|p| p.1).sum::<u64>(), steps);
-            let partials: Vec<f64> = parts
-                .iter()
-                .map(|&(f, c)| pisolver_partial(f, c, steps))
-                .collect();
-            let est = pisolver_reduce(&partials, steps);
-            assert!((est - pisolver(steps)).abs() < 1e-12, "ranks = {ranks}");
-        }
-    }
-
-    #[test]
-    fn partition_is_contiguous_and_balanced() {
-        let parts = pisolver_partition(10, 3);
-        assert_eq!(parts, vec![(0, 4), (4, 3), (7, 3)]);
     }
 
     #[test]

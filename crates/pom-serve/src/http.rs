@@ -18,11 +18,11 @@ use std::time::Instant;
 pub const MAX_BODY: usize = 16 * 1024 * 1024;
 
 /// Largest accepted request line / header line.
-const MAX_LINE: usize = 64 * 1024;
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// Largest accepted header count (a hostile client must not grow the
 /// header vector unboundedly).
-const MAX_HEADERS: usize = 100;
+pub const MAX_HEADERS: usize = 100;
 
 /// A parsed request.
 #[derive(Debug)]
@@ -80,26 +80,28 @@ impl From<io::Error> for RequestError {
 }
 
 fn read_crlf_line(r: &mut impl BufRead) -> Result<String, RequestError> {
-    let mut line = String::new();
+    let mut line = Vec::new();
     let n = r
         .by_ref()
         .take(MAX_LINE as u64)
-        .read_line(&mut line)
+        .read_until(b'\n', &mut line)
         .map_err(RequestError::Io)?;
     if n == 0 {
         return Err(RequestError::Closed);
     }
-    if !line.ends_with('\n') {
+    if !line.ends_with(b"\n") {
         return Err(RequestError::Bad(431, "header line too long".into()));
     }
-    while line.ends_with('\n') || line.ends_with('\r') {
+    while line.ends_with(b"\n") || line.ends_with(b"\r") {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line)
+        .map_err(|_| RequestError::Bad(400, "request line or header is not UTF-8".into()))
 }
 
-/// Parse one request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> Result<Request, RequestError> {
+/// Parse one request from the stream (a `&mut TcpStream` in the daemon,
+/// any reader in tests).
+pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
     let mut reader = BufReader::new(stream);
     let request_line = read_crlf_line(&mut reader)?;
     let mut parts = request_line.split_whitespace();

@@ -375,6 +375,37 @@ fn slowloris_connection_answers_408_at_the_read_deadline() {
     let _ = fs::remove_dir_all(&spool);
 }
 
+/// A request line that is not UTF-8 is a malformed request: it answers
+/// 400 and is counted, instead of closing the socket with no response.
+#[test]
+fn non_utf8_request_line_answers_400() {
+    let spool = temp_spool("non_utf8");
+    let server = start_with(&spool, |_| {});
+    let addr = server.addr();
+    let labels = [("method", "other"), ("route", "bad_request")];
+    let bad_before = counter("pom_serve_requests_total", &labels);
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /jobs\xff HTTP/1.1\r\nHost: t\r\n\r\n")
+        .unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let raw = String::from_utf8_lossy(&raw);
+    assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
+    assert!(raw.contains("not UTF-8"), "{raw}");
+    assert!(
+        counter("pom_serve_requests_total", &labels) > bad_before,
+        "bad request not counted"
+    );
+
+    server.stop(StopMode::Drain);
+    let _ = fs::remove_dir_all(&spool);
+}
+
 #[test]
 fn dropped_follow_consumer_never_hurts_the_job() {
     let spool = temp_spool("slow-consumer");

@@ -183,17 +183,6 @@ impl Campaign {
         self.run(&opts, &mut sink)
     }
 
-    /// Run into a CSV file (no resume — CSV carries no spec hash).
-    pub fn run_csv_file(
-        &self,
-        path: impl AsRef<Path>,
-        threads: usize,
-    ) -> Result<CampaignSummary, SweepError> {
-        let file = fs::File::create(path.as_ref())?;
-        let mut sink = CsvSink::new(file);
-        self.run(&RunOptions::with_threads(threads), &mut sink)
-    }
-
     /// Render the whole campaign to a JSONL string (header + rows).
     pub fn run_jsonl_string(&self, threads: usize) -> Result<String, SweepError> {
         let mut sink = JsonlSink::new(Vec::<u8>::new());

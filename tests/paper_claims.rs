@@ -1,15 +1,41 @@
 //! Integration tests pinning the paper's quantitative claims across
 //! crates (model + solver + topology + analysis together).
+//!
+//! `every_claim_in_the_table_reproduces` runs every row of the
+//! `pom_bench::CLAIMS` table, the same checks `repro all` prints. A test
+//! named with a claim id prefix (`c4_…`) checks the same paper sentence
+//! as that row, on its own configuration.
 
 use pom::analysis::{model_wave_arrivals, wave_speed_fit};
 use pom::core::{stability, InitialCondition, Normalization, PomBuilder, Potential, SimOptions};
 use pom::noise::{DelayEvent, OneOffDelays};
 use pom::topology::{kappa_for, Topology, WaitMode};
+use pom_bench::CLAIMS;
+
+/// Every row of the paper-claim table reproduces, and the table holds the
+/// 13 claims under unique ids.
+#[test]
+fn every_claim_in_the_table_reproduces() {
+    assert_eq!(CLAIMS.len(), 13);
+    let mut ids: Vec<_> = CLAIMS.iter().map(|c| c.id).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    assert_eq!(ids.len(), CLAIMS.len(), "claim ids are not unique");
+
+    let deviating: Vec<String> = CLAIMS
+        .iter()
+        .filter_map(|claim| {
+            let v = claim.run();
+            (!v.ok).then(|| format!("{} ({}): {}", claim.id, claim.section, v.detail))
+        })
+        .collect();
+    assert!(deviating.is_empty(), "claims deviate: {deviating:#?}");
+}
 
 /// §5.2.2: "the phase differences settle at the first zero of the
 /// potential, which is at 2σ/3" — across a range of σ.
 #[test]
-fn two_thirds_sigma_law_holds_across_sigmas() {
+fn c4_two_thirds_sigma_law_holds_across_sigmas() {
     for &sigma in &[0.5, 1.0, 2.0, 4.0] {
         let n = 12;
         let run = PomBuilder::new(n)
@@ -43,7 +69,7 @@ fn two_thirds_sigma_law_holds_across_sigmas() {
 /// §5.1.1: wave speed grows monotonically with βκ; βκ ≈ 0 gives free,
 /// undisturbed processes.
 #[test]
-fn wave_speed_monotone_in_beta_kappa() {
+fn c1_wave_speed_monotone_in_beta_kappa() {
     let n = 32;
     let run = |vp: f64, inject: bool| {
         let mut b = PomBuilder::new(n)
@@ -233,7 +259,7 @@ fn desync_instability_develops_the_predicted_mode() {
 /// can develop; the paper's sparse-topology POM, in contrast, lets waves
 /// propagate at finite speed.
 #[test]
-fn kuramoto_contrast_all_to_all_acts_like_barrier() {
+fn c5_kuramoto_contrast_all_to_all_acts_like_barrier() {
     let n = 24;
     let run = |topology: Topology, potential: Potential| {
         PomBuilder::new(n)
