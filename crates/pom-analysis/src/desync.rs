@@ -37,7 +37,7 @@ pub fn residual_spread(trace: &SimTrace, start_iter: usize) -> f64 {
 
 /// Classify a simulator run: desynchronized if the trailing-window spread
 /// exceeds `threshold` seconds.
-pub fn sim_verdict(trace: &SimTrace, start_iter: usize, threshold: f64) -> DesyncVerdict {
+pub(crate) fn sim_verdict(trace: &SimTrace, start_iter: usize, threshold: f64) -> DesyncVerdict {
     if residual_spread(trace, start_iter) > threshold {
         DesyncVerdict::Desynchronized
     } else {
@@ -71,7 +71,7 @@ pub fn model_residual_spread(run: &PomRun, window: f64) -> f64 {
 }
 
 /// Classify a model run by its trailing phase spread (radians).
-pub fn model_verdict(run: &PomRun, threshold: f64) -> DesyncVerdict {
+pub(crate) fn model_verdict(run: &PomRun, threshold: f64) -> DesyncVerdict {
     if model_residual_spread(run, 0.2) > threshold {
         DesyncVerdict::Desynchronized
     } else {

@@ -27,7 +27,7 @@ pub struct WaveArrival {
 
 /// What the fit says about one propagation direction.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum WaveVerdict {
+pub(crate) enum WaveVerdict {
     /// A positive-slope fit: the front moved outward at `1/slope`
     /// ranks per time unit.
     Propagated(LinFit),
@@ -44,7 +44,7 @@ pub enum WaveVerdict {
 impl WaveVerdict {
     /// The measured speed in ranks per time unit, if this direction
     /// propagated.
-    pub fn speed(&self) -> Option<f64> {
+    pub(crate) fn speed(&self) -> Option<f64> {
         match self {
             WaveVerdict::Propagated(f) => Some(1.0 / f.slope),
             _ => None,
@@ -55,7 +55,8 @@ impl WaveVerdict {
     /// cannot yield a speed. [`WaveSpeed::mean_speed`] skips these
     /// silently; callers that must not confuse "no wave on this side"
     /// with "unusable fit on this side" check this flag.
-    pub fn is_degenerate(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_degenerate(&self) -> bool {
         matches!(self, WaveVerdict::Degenerate(_))
     }
 
@@ -89,7 +90,7 @@ impl WaveSpeed {
     /// fields these distinguish "the wave never reached that side"
     /// ([`WaveVerdict::NotReached`]) from "a fit exists but is unusable"
     /// ([`WaveVerdict::Degenerate`], slope ≤ 0).
-    pub fn verdicts(&self) -> (WaveVerdict, WaveVerdict) {
+    pub(crate) fn verdicts(&self) -> (WaveVerdict, WaveVerdict) {
         (
             WaveVerdict::from_fit(self.up),
             WaveVerdict::from_fit(self.down),
@@ -100,11 +101,11 @@ impl WaveSpeed {
     /// (ranks per time unit): the arithmetic mean of the per-direction
     /// reciprocal slopes `1/slope`.
     ///
-    /// Directions that are [`WaveVerdict::NotReached`] *or*
-    /// [`WaveVerdict::Degenerate`] are excluded — a one-sided wave
+    /// Directions that are `WaveVerdict::NotReached` *or*
+    /// `WaveVerdict::Degenerate` are excluded — a one-sided wave
     /// legitimately reports the one usable side. `None` means **no**
     /// direction yielded a usable positive-slope fit; inspect
-    /// [`WaveSpeed::verdicts`] to tell an absent wave from a degenerate
+    /// `WaveSpeed::verdicts` to tell an absent wave from a degenerate
     /// measurement.
     pub fn mean_speed(&self) -> Option<f64> {
         let (up, down) = self.verdicts();
@@ -166,7 +167,7 @@ pub fn sim_wave_arrivals(
 /// `delta` between the bracketing samples removes the stride quantization
 /// (crossings inside the very first sample report that sample's time —
 /// there is nothing earlier to bracket with).
-pub fn trajectory_wave_arrivals(
+pub(crate) fn trajectory_wave_arrivals(
     perturbed: &Trajectory,
     baseline: &Trajectory,
     threshold: f64,
@@ -197,15 +198,13 @@ pub fn trajectory_wave_arrivals(
         .collect()
 }
 
-/// The one interpolation rule both arrival detectors (post-hoc
-/// [`trajectory_wave_arrivals`] and streaming
-/// [`crate::streaming::WaveFrontProbe`]) share: linear crossing of
-/// `threshold` between the previous sub-threshold sample `(t, delta)`
+/// The interpolation rule of [`trajectory_wave_arrivals`]: linear crossing
+/// of `threshold` between the previous sub-threshold sample `(t, delta)`
 /// and the first sample at or above it. Falls back to the crossing
 /// sample's own time when no earlier bracket exists (crossing in the
 /// very first sample) or `delta` did not rise. `d_prev < threshold <=
 /// delta` in the bracketed case, so the divisor is positive.
-pub(crate) fn crossing_time(prev: Option<(f64, f64)>, t: f64, delta: f64, threshold: f64) -> f64 {
+fn crossing_time(prev: Option<(f64, f64)>, t: f64, delta: f64, threshold: f64) -> f64 {
     match prev {
         Some((t_prev, d_prev)) if delta > d_prev => {
             t_prev + (threshold - d_prev) / (delta - d_prev) * (t - t_prev)
@@ -215,7 +214,7 @@ pub(crate) fn crossing_time(prev: Option<(f64, f64)>, t: f64, delta: f64, thresh
 }
 
 /// Wave arrivals from a perturbed/baseline model run pair
-/// (see [`trajectory_wave_arrivals`] for the crossing semantics).
+/// (see `trajectory_wave_arrivals` for the crossing semantics).
 ///
 /// Both runs must share the sampling grid (they do when produced with the
 /// same [`pom_core::SimOptions`]).
@@ -253,7 +252,7 @@ pub enum WaveGeometry {
 /// The returned fits have *slope = time per rank*; speed is the
 /// reciprocal (see [`WaveSpeed`] for the convention and
 /// [`WaveSpeed::verdicts`] for per-direction quality).
-pub fn wave_speed_fit_in(
+pub(crate) fn wave_speed_fit_in(
     arrivals: &[WaveArrival],
     source: usize,
     max_distance: usize,
@@ -297,14 +296,14 @@ pub fn wave_speed_fit_in(
     }
 }
 
-/// [`wave_speed_fit_in`] with [`WaveGeometry::Chain`] (linear rank
+/// `wave_speed_fit_in` with [`WaveGeometry::Chain`] (linear rank
 /// distance, the historical behavior).
 ///
 /// **Precondition** on periodic substrates: only valid while the wave
 /// cannot have wrapped, i.e. `source ± max_distance` stays inside
 /// `[0, n)` and the run is short enough that the far side was not
 /// reached the short way around — otherwise wrapped arrivals are binned
-/// at the long linear distance. Use [`wave_speed_fit_in`] with
+/// at the long linear distance. Use `wave_speed_fit_in` with
 /// [`WaveGeometry::Ring`] on rings.
 pub fn wave_speed_fit(arrivals: &[WaveArrival], source: usize, max_distance: usize) -> WaveSpeed {
     wave_speed_fit_in(arrivals, source, max_distance, WaveGeometry::Chain)

@@ -14,24 +14,23 @@
 //!   of the oscillator model; §5.2.2 connects the spread to the
 //!   interaction horizon `σ` (settling at `2σ/3`).
 //!
-//! [`idlewave`] implements front extraction on both substrates (simulator
-//! [`pom_mpisim::SimTrace`] and model [`pom_core::PomRun`]), [`desync`]
-//! the wavefront/resync diagnostics, [`stats`] the small regression
-//! toolbox used by the speed fits, and [`compare`] the model-vs-simulator
+//! `idlewave` implements front extraction on both substrates (simulator
+//! [`pom_mpisim::SimTrace`] and model [`pom_core::PomRun`]), `desync`
+//! the wavefront/resync diagnostics, `stats` the small regression
+//! toolbox used by the speed fits, and `compare` the model-vs-simulator
 //! agreement verdicts that `repro F2` prints.
 
-pub mod compare;
-pub mod desync;
-pub mod idlewave;
-pub mod stats;
-pub mod streaming;
+mod compare;
+mod desync;
+mod idlewave;
+mod stats;
+mod streaming;
 
 pub use compare::{fig2_verdict, Fig2Verdict};
 pub use desync::{model_residual_spread, residual_spread, socket_offsets, DesyncVerdict};
 pub use idlewave::{
     model_wave_arrivals, model_wave_speed, model_wave_speed_in, sim_wave_arrivals, sim_wave_speed,
-    sim_wave_speed_in, trajectory_wave_arrivals, wave_speed_fit, wave_speed_fit_in, MeasuredWave,
-    WaveArrival, WaveGeometry, WaveSpeed, WaveVerdict,
+    sim_wave_speed_in, wave_speed_fit, MeasuredWave, WaveGeometry, WaveSpeed,
 };
-pub use stats::{linear_fit, mean, std_dev, LinFit};
-pub use streaming::{OrderParameterProbe, PhaseGapProbe, RunSummaryProbe, WaveFrontProbe, Welford};
+pub use stats::{mean, std_dev};
+pub use streaming::{RunSummaryProbe, Welford};

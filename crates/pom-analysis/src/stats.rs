@@ -33,7 +33,7 @@ pub struct LinFit {
 
 /// Ordinary least squares over `(x, y)` pairs. Returns `None` for fewer
 /// than two points or degenerate `x` (all equal).
-pub fn linear_fit(points: &[(f64, f64)]) -> Option<LinFit> {
+pub(crate) fn linear_fit(points: &[(f64, f64)]) -> Option<LinFit> {
     let n = points.len();
     if n < 2 {
         return None;

@@ -6,19 +6,15 @@
 //! `pom_core::Pom::simulate_observed`). A probe sees each accepted step
 //! once, updates a constant-size accumulator, and keeps nothing per step
 //! — which is what makes million-step runs of 10⁵ oscillators fit in
-//! memory: the paper's headline quantities (order parameter `r(t)`,
-//! adjacent phase gaps, idle-wave arrival fronts, §5.1/§5.2) never needed
-//! the raw phases, only these reductions.
+//! memory: the paper's headline quantities (order parameter `r(t)` and
+//! adjacent phase gaps, §5.2) never needed the raw phases, only these
+//! reductions.
 //!
 //! Contents:
 //!
 //! * [`Welford`] — numerically stable streaming mean/variance/min/max;
 //! * [`OrderParameterProbe`] — Kuramoto `r(t)` statistics over the run;
 //! * [`PhaseGapProbe`] — mean/max adjacent phase gap statistics;
-//! * [`WaveFrontProbe`] — first-crossing idle-wave arrival detection
-//!   against an analytic baseline, reproducing
-//!   [`crate::idlewave::model_wave_arrivals`] without a baseline
-//!   trajectory in memory;
 //! * [`RunSummaryProbe`] — the bundle `pom-sweep` attaches to streaming
 //!   campaign points.
 //!
@@ -27,10 +23,8 @@
 //! with a fixed-step solver the two coincide; with an adaptive solver
 //! regions of small steps weigh proportionally more.
 
-use pom_core::observables::{order_parameter, phase_spread, phase_summary, PhaseSummary};
+use pom_core::{order_parameter, phase_spread, phase_summary, PhaseSummary};
 use pom_ode::{Accuracy, StepObserver};
-
-use crate::idlewave::{crossing_time, wave_speed_fit_in, MeasuredWave, WaveArrival, WaveGeometry};
 
 /// Welford's streaming moments: mean and variance in one numerically
 /// stable pass, plus min/max, in O(1) state.
@@ -86,7 +80,7 @@ impl Welford {
     }
 
     /// Population variance (0 for fewer than two samples).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -102,7 +96,7 @@ impl Welford {
     /// Sample (Bessel-corrected) variance `m2 / (count − 1)`; 0 for fewer
     /// than two samples. This is the estimator the ensemble aggregation
     /// columns use — replicas are a finite sample of the seed population.
-    pub fn sample_variance(&self) -> f64 {
+    pub(crate) fn sample_variance(&self) -> f64 {
         if self.count < 2 {
             0.0
         } else {
@@ -145,7 +139,7 @@ pub struct OrderParameterProbe {
 
 impl OrderParameterProbe {
     /// Empty probe.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -190,7 +184,7 @@ pub struct PhaseGapProbe {
 
 impl PhaseGapProbe {
     /// Empty probe.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -230,138 +224,14 @@ impl StepObserver for PhaseGapProbe {
     }
 }
 
-/// Streaming idle-wave front detector: per-rank first crossing of
-/// `|θ_i(t) − baseline_i(t)| >= threshold`, with the crossing time
-/// linearly interpolated between the bracketing samples — the same
-/// inclusive-threshold convention as
-/// [`crate::idlewave::trajectory_wave_arrivals`], which this reproduces
-/// (up to integrator round-off in the baseline) without holding any
-/// trajectory in memory.
-///
-/// The baseline is an analytic closure `(t, rank) → phase`. The canonical
-/// idle-wave experiment launches the wave by a one-off injection into an
-/// otherwise noise-free synchronized run, whose unperturbed twin is
-/// exactly the free run `θ_i(t) = θ_i(0) + ω t` — see
-/// [`WaveFrontProbe::free_run`]. State: O(N) (two scalars per rank).
-pub struct WaveFrontProbe<B> {
-    threshold: f64,
-    baseline: B,
-    /// Arrival time per rank (`None` = not yet crossed).
-    arrivals: Vec<Option<f64>>,
-    /// Previous sample's `(t, delta)` per rank, for interpolation.
-    prev: Vec<(f64, f64)>,
-    started: bool,
-}
-
-impl<B: Fn(f64, usize) -> f64> WaveFrontProbe<B> {
-    /// Detector for `n` ranks against an arbitrary analytic baseline.
-    pub fn new(n: usize, threshold: f64, baseline: B) -> Self {
-        Self {
-            threshold,
-            baseline,
-            arrivals: vec![None; n],
-            prev: vec![(0.0, 0.0); n],
-            started: false,
-        }
-    }
-
-    fn push(&mut self, t: f64, y: &[f64]) {
-        debug_assert_eq!(y.len(), self.arrivals.len());
-        for (i, &phase) in y.iter().enumerate() {
-            if self.arrivals[i].is_some() {
-                continue;
-            }
-            let delta = (phase - (self.baseline)(t, i)).abs();
-            if delta >= self.threshold {
-                let prev = self.started.then_some(self.prev[i]);
-                self.arrivals[i] = Some(crossing_time(prev, t, delta, self.threshold));
-            } else {
-                self.prev[i] = (t, delta);
-            }
-        }
-        self.started = true;
-    }
-}
-
-impl<B> WaveFrontProbe<B> {
-    /// Per-rank arrivals in [`crate::idlewave`]'s format.
-    pub fn arrivals(&self) -> Vec<WaveArrival> {
-        self.arrivals
-            .iter()
-            .enumerate()
-            .map(|(rank, &time)| WaveArrival {
-                rank,
-                iteration: None,
-                time,
-            })
-            .collect()
-    }
-
-    /// Number of ranks the front has reached so far.
-    pub fn n_arrived(&self) -> usize {
-        self.arrivals.iter().filter(|a| a.is_some()).count()
-    }
-
-    /// Fit the front speed from the detected arrivals (see
-    /// [`wave_speed_fit_in`]).
-    pub fn measured(
-        &self,
-        source: usize,
-        max_distance: usize,
-        geometry: WaveGeometry,
-    ) -> MeasuredWave {
-        let arrivals = self.arrivals();
-        let fit = wave_speed_fit_in(&arrivals, source, max_distance, geometry);
-        MeasuredWave { arrivals, fit }
-    }
-}
-
-impl WaveFrontProbe<Box<dyn Fn(f64, usize) -> f64 + Send>> {
-    /// Detector against the noise-free free run `θ_i(t) = y0_i + ω t` —
-    /// the exact unperturbed twin of a synchronized, locally-noise-free
-    /// model (coupling vanishes in lockstep), which is the §5.1 idle-wave
-    /// baseline.
-    pub fn free_run(y0: &[f64], omega: f64, threshold: f64) -> Self {
-        let y0 = y0.to_vec();
-        Self::new(y0.len(), threshold, Box::new(move |t, i| y0[i] + omega * t))
-    }
-}
-
-impl<B: Fn(f64, usize) -> f64> StepObserver for WaveFrontProbe<B> {
-    fn begin(&mut self, t0: f64, y0: &[f64]) {
-        // Full reset: a probe reused across integrations (the way sweep
-        // workers reuse their workspace) must not carry the previous
-        // run's arrivals into the next one.
-        self.started = false;
-        self.arrivals.fill(None);
-        for p in &mut self.prev {
-            *p = (t0, 0.0);
-        }
-        self.push(t0, y0);
-    }
-    fn observe_step(&mut self, t: f64, y: &[f64]) {
-        self.push(t, y);
-    }
-}
-
-impl<B> std::fmt::Debug for WaveFrontProbe<B> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WaveFrontProbe")
-            .field("threshold", &self.threshold)
-            .field("n", &self.arrivals.len())
-            .field("n_arrived", &self.n_arrived())
-            .finish_non_exhaustive()
-    }
-}
-
 /// The probe bundle behind `pom-sweep`'s streaming observables: order
 /// parameter plus gap/spread statistics, O(1) state.
 ///
 /// Each sample is one [`phase_summary`] walk, whose trig follows the
 /// [`Accuracy`] the driver announced (`pom_core::Pom::simulate_observed`
 /// passes the model kernel's): `libm` by default and under
-/// `RhsKernel::Exact`, bitwise equal to [`OrderParameterProbe`] plus
-/// [`PhaseGapProbe`]; the split kernel's polynomial `sin`/`cos` under
+/// `RhsKernel::Exact`, bitwise equal to `OrderParameterProbe` plus
+/// `PhaseGapProbe`; the split kernel's polynomial `sin`/`cos` under
 /// `RhsKernel::SinCosSplit`, where `r` falls under the same `~1e-12`
 /// policy as the run itself and the gap statistics stay bitwise.
 #[derive(Debug, Clone, Default)]
@@ -502,22 +372,6 @@ mod tests {
         assert_eq!(p.last_mean_gap, 0.0);
     }
 
-    #[test]
-    fn wave_probe_interpolates_first_crossing() {
-        // Rank 0 ramps away from a zero baseline at 1 rad/unit starting
-        // t = 1; rank 1 never deviates.
-        let mut p = WaveFrontProbe::new(2, 0.5, |_t, _i| 0.0);
-        p.begin(0.0, &[0.0, 0.0]);
-        for k in 1..=4 {
-            let t = k as f64;
-            p.observe_step(t, &[(t - 1.0).max(0.0), 0.0]);
-        }
-        let a = p.arrivals();
-        assert!((a[0].time.unwrap() - 1.5).abs() < 1e-12, "{a:?}");
-        assert_eq!(a[1].time, None);
-        assert_eq!(p.n_arrived(), 1);
-    }
-
     /// Regression: `begin` must reset the statistics probes — a probe
     /// reused across integrations must not fold two runs together.
     #[test]
@@ -533,111 +387,5 @@ mod tests {
         assert!((p.r.stats.min() - 1.0).abs() < 1e-12);
         assert_eq!(p.r.stats.count(), 2);
         assert_eq!(p.gaps.max_gap.max(), 0.0);
-    }
-
-    /// Regression: `begin` must clear the previous run's arrivals — a
-    /// probe reused across integrations (like a sweep worker's
-    /// workspace) must not report stale first-run crossing times.
-    #[test]
-    fn wave_probe_reuse_resets_arrivals() {
-        let mut p = WaveFrontProbe::new(1, 0.5, |_t, _i| 0.0);
-        p.begin(0.0, &[0.0]);
-        p.observe_step(1.0, &[1.0]); // crosses at run 1
-        assert_eq!(p.n_arrived(), 1);
-        // Second integration: never crosses.
-        p.begin(0.0, &[0.0]);
-        assert_eq!(p.n_arrived(), 0, "stale arrivals must be cleared");
-        p.observe_step(1.0, &[0.1]);
-        assert_eq!(p.arrivals()[0].time, None);
-    }
-
-    #[test]
-    fn free_run_baseline_is_linear() {
-        let p = WaveFrontProbe::free_run(&[0.1, 0.2], 2.0, 0.05);
-        assert!(((p.baseline)(3.0, 1) - (0.2 + 6.0)).abs() < 1e-12);
-    }
-
-    /// Tentpole contract: the streaming detector attached to
-    /// `simulate_observed` reproduces the post-hoc
-    /// `model_wave_arrivals` of a recorded perturbed/baseline pair — with
-    /// no baseline trajectory (and no trajectory at all) in memory.
-    #[test]
-    fn wave_probe_reproduces_model_wave_arrivals() {
-        use crate::idlewave::model_wave_arrivals;
-        use pom_core::{InitialCondition, PomBuilder, Potential, SimOptions, SolverChoice};
-        use pom_noise::{DelayEvent, OneOffDelays};
-        use pom_topology::Topology;
-
-        let n = 20;
-        let build = |inject: bool| {
-            let mut b = PomBuilder::new(n)
-                .topology(Topology::ring(n, &[-1, 1]))
-                .potential(Potential::Tanh)
-                .compute_time(1.0)
-                .comm_time(0.0)
-                .coupling(2.0);
-            if inject {
-                b = b.local_noise(OneOffDelays::new(vec![DelayEvent {
-                    rank: 5,
-                    t_start: 2.0,
-                    duration: 2.0,
-                    extra: 1.0,
-                }]));
-            }
-            b.build().unwrap()
-        };
-        // Fixed-step so the recorded grid (samples == steps) equals the
-        // observer grid exactly.
-        let h = 0.02;
-        let t_end = 30.0;
-        let steps = (t_end / h) as usize;
-        let opts = SimOptions::new(t_end)
-            .samples(steps + 1)
-            .solver(SolverChoice::FixedRk4 { h });
-
-        // Post-hoc reference: two recorded runs, scan afterwards.
-        let pert_rec = build(true)
-            .simulate_with(InitialCondition::Synchronized, &opts)
-            .unwrap();
-        let base_rec = build(false)
-            .simulate_with(InitialCondition::Synchronized, &opts)
-            .unwrap();
-        let reference = model_wave_arrivals(&pert_rec, &base_rec, 0.05);
-
-        // Streaming: one observed run against the analytic free-run
-        // baseline (lockstep + no noise ⇒ θ_i(t) = ω t exactly).
-        let model = build(true);
-        let y0 = InitialCondition::Synchronized.phases(n);
-        let mut probe = WaveFrontProbe::free_run(&y0, model.omega(), 0.05);
-        let summary = model
-            .simulate_observed(InitialCondition::Synchronized, &opts, &mut probe)
-            .unwrap();
-        assert_eq!(summary.n_steps(), steps);
-        let streamed = probe.arrivals();
-
-        assert_eq!(streamed.len(), reference.len());
-        let mut n_arrived = 0;
-        for (s, r) in streamed.iter().zip(&reference) {
-            match (s.time, r.time) {
-                (Some(ts), Some(tr)) => {
-                    n_arrived += 1;
-                    // The recorded baseline accumulates ω step by step
-                    // while the analytic baseline is ω·t — identical up
-                    // to round-off, so crossing times agree to ~1e-9.
-                    assert!(
-                        (ts - tr).abs() < 1e-6,
-                        "rank {}: streamed {ts} vs reference {tr}",
-                        s.rank
-                    );
-                }
-                (a, b) => assert_eq!(
-                    a.is_some(),
-                    b.is_some(),
-                    "rank {}: arrival disagreement",
-                    s.rank
-                ),
-            }
-        }
-        assert!(n_arrived >= 5, "the wave must have moved: {n_arrived}");
     }
 }

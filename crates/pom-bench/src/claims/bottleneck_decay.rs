@@ -8,29 +8,18 @@
 //! wave amplitude (max per-rank delay vs. the unperturbed twin) iteration
 //! by iteration, plus what remains at the end.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict, KICK};
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::{ProgramSpec, SimTrace};
+use pom_topology::ClusterSpec;
 use pom_viz::write_table;
 
 fn run(kernel: Kernel, msg: usize, inject: bool) -> SimTrace {
-    let n = 40;
-    let mut p = ProgramSpec::new(n, 50)
-        .kernel(kernel)
-        .work(WorkSpec::TargetSeconds(1e-3))
-        .message_bytes(msg);
-    if inject {
-        p = p.inject(SimDelay {
-            rank: 5,
-            iteration: 5,
-            extra_seconds: 5e-3,
-        });
-    }
-    Simulator::new(p, Placement::packed(ClusterSpec::meggie(), n))
-        .unwrap()
-        .run()
-        .unwrap()
+    let p = ProgramSpec::new(40, 50).kernel(kernel).message_bytes(msg);
+    simulate(
+        if inject { p.inject(KICK) } else { p },
+        ClusterSpec::meggie(),
+    )
 }
 
 /// Per-iteration wave amplitude: max over ranks of (perturbed − baseline)

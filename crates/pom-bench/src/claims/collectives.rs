@@ -8,31 +8,22 @@
 //! wipes the computational wavefront each time — and with it the
 //! bottleneck-evasion dividend: per-iteration cost rises as K shrinks.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict, KICK};
 use pom_analysis::residual_spread;
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::{ProgramSpec, SimTrace};
+use pom_topology::ClusterSpec;
 use pom_viz::write_table;
 
 fn run(allreduce_every: Option<usize>) -> SimTrace {
-    let n = 40;
-    let mut p = ProgramSpec::new(n, 60)
+    let mut p = ProgramSpec::new(40, 60)
         .kernel(Kernel::stream_triad())
-        .work(WorkSpec::TargetSeconds(1e-3))
         .message_bytes(4_000_000)
-        .inject(SimDelay {
-            rank: 5,
-            iteration: 5,
-            extra_seconds: 5e-3,
-        });
+        .inject(KICK);
     if let Some(k) = allreduce_every {
         p = p.allreduce_every(k);
     }
-    Simulator::new(p, Placement::packed(ClusterSpec::meggie(), n))
-        .unwrap()
-        .run()
-        .unwrap()
+    simulate(p, ClusterSpec::meggie())
 }
 
 pub(crate) fn check() -> Verdict {

@@ -10,29 +10,19 @@
 //! sweep. This check sweeps the message size and reports the residual
 //! wavefront.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict, KICK};
 use pom_analysis::residual_spread;
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::ProgramSpec;
+use pom_topology::ClusterSpec;
 use pom_viz::write_table;
 
 fn residual_for(message_bytes: usize) -> f64 {
-    let n = 40;
-    let p = ProgramSpec::new(n, 50)
+    let p = ProgramSpec::new(40, 50)
         .kernel(Kernel::stream_triad())
-        .work(WorkSpec::TargetSeconds(1e-3))
         .message_bytes(message_bytes)
-        .inject(SimDelay {
-            rank: 5,
-            iteration: 5,
-            extra_seconds: 5e-3,
-        });
-    let trace = Simulator::new(p, Placement::packed(ClusterSpec::meggie(), n))
-        .unwrap()
-        .run()
-        .unwrap();
-    residual_spread(&trace, 40)
+        .inject(KICK);
+    residual_spread(&simulate(p, ClusterSpec::meggie()), 40)
 }
 
 pub(crate) fn check() -> Verdict {

@@ -3,12 +3,12 @@
 //! the MPI simulator produces the ITAC-like trace (inner images), the
 //! oscillator model the circular phase diagrams.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict, KICK};
 use pom_analysis::fig2_verdict;
 use pom_core::{fig2_model, fig2_params, Fig2Panel, InitialCondition, SimOptions};
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::ProgramSpec;
+use pom_topology::ClusterSpec;
 use pom_viz::{circle_svg, gantt_ascii, gantt_svg};
 
 pub(crate) fn check() -> Verdict {
@@ -27,18 +27,10 @@ pub(crate) fn check() -> Verdict {
         let msg = if panel.scalable() { 8 } else { 4_000_000 };
         let prog = ProgramSpec::new(40, 40)
             .kernel(kernel)
-            .work(WorkSpec::TargetSeconds(1e-3))
             .distances(panel.distances().to_vec())
             .message_bytes(msg)
-            .inject(SimDelay {
-                rank: 5,
-                iteration: 5,
-                extra_seconds: 5e-3,
-            });
-        let trace = Simulator::new(prog, Placement::packed(ClusterSpec::meggie(), 40))
-            .expect("simulator builds")
-            .run()
-            .expect("simulation runs");
+            .inject(KICK);
+        let trace = simulate(prog, ClusterSpec::meggie());
         save(
             &format!("fig2{}_trace.svg", panel.letter()),
             &gantt_svg(&trace, 800.0, 8.0),

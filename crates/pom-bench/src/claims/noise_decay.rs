@@ -8,18 +8,16 @@
 //! (the distance at which the excess delay falls below threshold) and the
 //! surviving amplitude at a fixed distance.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict};
 use pom_analysis::sim_wave_arrivals;
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::{ProgramSpec, SimDelay, SimTrace};
+use pom_topology::ClusterSpec;
 use pom_viz::write_table;
 
 fn run(noise: f64, inject: bool) -> SimTrace {
-    let n = 40;
-    let mut p = ProgramSpec::new(n, 40)
+    let mut p = ProgramSpec::new(40, 40)
         .kernel(Kernel::pisolver())
-        .work(WorkSpec::TargetSeconds(1e-3))
         .noise(noise, 31);
     if inject {
         p = p.inject(SimDelay {
@@ -28,10 +26,7 @@ fn run(noise: f64, inject: bool) -> SimTrace {
             extra_seconds: 3e-3,
         });
     }
-    Simulator::new(p, Placement::packed(ClusterSpec::meggie(), n))
-        .unwrap()
-        .run()
-        .unwrap()
+    simulate(p, ClusterSpec::meggie())
 }
 
 pub(crate) fn check() -> Verdict {

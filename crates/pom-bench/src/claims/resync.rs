@@ -10,7 +10,6 @@
 
 use crate::{save, Verdict};
 use pom_core::{InitialCondition, Normalization, PomBuilder, Potential, SimOptions};
-use pom_ode::events;
 use pom_topology::Topology;
 use pom_viz::write_table;
 
@@ -114,7 +113,7 @@ pub(crate) fn check() -> Verdict {
         .atol(1e-9)
         .integrate(&model, 0.0, &init, 60.0)
         .unwrap();
-    let t_corridor = events::first_zero_crossing(
+    let t_corridor = pom_ode::first_zero_crossing(
         &sol,
         |_t, y| {
             let mean = y.iter().sum::<f64>() / y.len() as f64;

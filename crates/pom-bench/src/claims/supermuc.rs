@@ -3,31 +3,19 @@
 //! SuperMUC-NG-like cluster spec — different core counts, bandwidth and
 //! frequencies — and check the *qualitative* conclusions are unchanged.
 
-use crate::{save, Verdict};
+use crate::{save, simulate, Verdict, KICK};
 use pom_analysis::{residual_spread, sim_wave_arrivals, wave_speed_fit};
 use pom_kernels::Kernel;
-use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator, WorkSpec};
-use pom_topology::{ClusterSpec, Placement};
+use pom_mpisim::{ProgramSpec, SimTrace};
+use pom_topology::ClusterSpec;
 use pom_viz::write_table;
 
 fn run(spec: ClusterSpec, kernel: Kernel, msg: usize, inject: bool) -> SimTrace {
     // Two full sockets of whatever the machine offers.
-    let n = 2 * spec.cores_per_socket;
-    let mut p = ProgramSpec::new(n, 50)
+    let p = ProgramSpec::new(2 * spec.cores_per_socket, 50)
         .kernel(kernel)
-        .work(WorkSpec::TargetSeconds(1e-3))
         .message_bytes(msg);
-    if inject {
-        p = p.inject(SimDelay {
-            rank: 5,
-            iteration: 5,
-            extra_seconds: 5e-3,
-        });
-    }
-    Simulator::new(p, Placement::packed(spec, n))
-        .unwrap()
-        .run()
-        .unwrap()
+    simulate(if inject { p.inject(KICK) } else { p }, spec)
 }
 
 pub(crate) fn check() -> Verdict {

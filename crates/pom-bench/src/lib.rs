@@ -14,11 +14,13 @@
 use std::fs;
 use std::path::PathBuf;
 
+use pom_mpisim::{ProgramSpec, SimDelay, SimTrace, Simulator};
 use pom_ode::{OdeSystem, Rk4, Stepper, Workspace};
 use pom_sweep::{
     run_campaign_with, run_point_ws, CampaignSpec, CampaignSummary, ResultSink, RunOptions,
     SweepError,
 };
+use pom_topology::{ClusterSpec, Placement};
 
 /// Faithful replica of the `FixedStepSolver::integrate_observed` step loop
 /// with a [`pom_ode::NoObserver`] attached, minus the instrumentation:
@@ -93,6 +95,24 @@ pub(crate) fn save(name: &str, content: &str) -> PathBuf {
     fs::write(&path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     println!("wrote {}", path.display());
     path
+}
+
+/// The one-off delay that starts the idle wave in most simulator claims:
+/// 5 ms extra on rank 5 in iteration 5.
+pub(crate) const KICK: SimDelay = SimDelay {
+    rank: 5,
+    iteration: 5,
+    extra_seconds: 5e-3,
+};
+
+/// Run `program` (1 ms of work per iteration unless it says otherwise)
+/// with its ranks packed onto `cluster`.
+pub(crate) fn simulate(program: ProgramSpec, cluster: ClusterSpec) -> SimTrace {
+    let n = program.n_ranks;
+    Simulator::new(program, Placement::packed(cluster, n))
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 mod claims {

@@ -9,7 +9,7 @@ use pom_sweep::registry::Parsed;
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let panel = match p.str("panel") {
         "a" => Fig2Panel::A,
         "b" => Fig2Panel::B,

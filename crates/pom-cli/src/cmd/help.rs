@@ -4,7 +4,7 @@ use pom_sweep::registry::{toolkit, Parsed};
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let reg = toolkit();
     match p.str("format") {
         // The machine-readable registry — byte-identical to the body the

@@ -23,7 +23,7 @@ use pom_sweep::registry::{toolkit, CommandSpec, Parsed};
 use pom_sweep::ArgError;
 
 /// One command's entry point.
-pub type RunFn = fn(&Parsed) -> Result<String, CliError>;
+pub(crate) type RunFn = fn(&Parsed) -> Result<String, CliError>;
 
 /// Every command: its registry spec next to its implementation. Order
 /// matches the registry's help order (pinned by a test).

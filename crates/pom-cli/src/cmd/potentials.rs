@@ -8,7 +8,7 @@ use pom_sweep::registry::Parsed;
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let sigma = p.f64("sigma");
     let xmax = p.f64("xmax");
     let n = p.usize("n").max(5);

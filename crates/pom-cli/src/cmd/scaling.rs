@@ -10,7 +10,7 @@ use super::CliError;
 
 // Index-as-rank loop is intentional (the index is the process count).
 #[allow(clippy::needless_range_loop)]
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let socket = SocketSpec::meggie();
     let cores = if p.is_given("cores") {
         p.usize("cores").max(1)

@@ -7,7 +7,7 @@ use pom_sweep::registry::Parsed;
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let level = pom_obs::Level::from_name(p.str("log-level"))
         .unwrap_or_else(|| unreachable!("enum-checked log-level `{}`", p.str("log-level")));
     pom_obs::set_log_level(level);

@@ -17,7 +17,7 @@ use pom_viz::{ascii_chart, circle_ascii, phase_heatmap_ascii};
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let n = p.usize("n").max(2);
     let sigma = p.f64("sigma");
     let potential = match p.str("potential") {

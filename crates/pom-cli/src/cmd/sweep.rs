@@ -8,7 +8,7 @@ use pom_sweep::{Campaign, ProgressSink, RunOptions, TeeSink};
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let spec_path = p.str("spec");
     let campaign = Campaign::from_file(spec_path).map_err(|e| CliError::Run(e.to_string()))?;
     let threads = p.usize("threads");

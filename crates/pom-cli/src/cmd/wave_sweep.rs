@@ -8,7 +8,7 @@ use pom_sweep::Campaign;
 
 use super::CliError;
 
-pub fn run(p: &Parsed) -> Result<String, CliError> {
+pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let n = p.usize("n").max(8);
     let t_end = p.f64("t_end");
     let spec = format!(

@@ -2,7 +2,7 @@
 //! of the paper's MATLAB application (§3.2).
 //!
 //! Every subcommand is declared once in the command registry
-//! ([`pom_sweep::registry`]): the [`cmd`] dispatch table binds each
+//! ([`pom_sweep::registry`]): the `cmd` dispatch table binds each
 //! registry [`pom_sweep::registry::CommandSpec`] to a run function that
 //! receives already-validated, typed arguments
 //! ([`pom_sweep::registry::Parsed`]). Help text (`pom help`,
@@ -33,6 +33,6 @@
 //! per-point seeds derived from the point index so output is bitwise
 //! identical for any `threads=` value.
 
-pub mod cmd;
+mod cmd;
 
-pub use cmd::{help, run_cli, CliError};
+pub use cmd::{commands, help, run_cli, CliError};

@@ -29,7 +29,7 @@ fn help_lists_all_commands_structurally() {
 fn dispatch_table_matches_registry() {
     // The cmd modules bind run functions to registry specs; the two
     // lists must be the same commands in the same (help) order.
-    let bound: Vec<&CommandSpec> = pom_cli::cmd::commands().iter().map(|(s, _)| *s).collect();
+    let bound: Vec<&CommandSpec> = pom_cli::commands().iter().map(|(s, _)| *s).collect();
     let registered: Vec<&CommandSpec> = toolkit().commands.iter().collect();
     assert_eq!(
         bound.iter().map(|c| c.name).collect::<Vec<_>>(),

@@ -8,7 +8,7 @@
 //! same `explain` rendering) this guarantees both front ends describe a
 //! given mistake with the same words.
 
-use pom_cli::{cmd, run_cli};
+use pom_cli::{commands, run_cli};
 use pom_sweep::registry::CommandSpec;
 
 /// Fuzz word lists per command: each is expected to be rejected by the
@@ -40,7 +40,7 @@ fn fuzz_cases(spec: &'static CommandSpec) -> Vec<Vec<String>> {
 #[test]
 fn cli_errors_are_verbatim_registry_explanations() {
     let mut rejected = 0usize;
-    for (spec, _) in cmd::commands() {
+    for (spec, _) in commands() {
         for words in fuzz_cases(spec) {
             let Err(e) = spec.parse(words.iter()) else {
                 continue; // registry accepts it; nothing to compare
@@ -67,7 +67,7 @@ fn cli_errors_are_verbatim_registry_explanations() {
 #[test]
 fn alias_spellings_hit_the_same_explanations() {
     // A bad value through an alias is explained under the canonical key.
-    let (spec, _) = cmd::commands()
+    let (spec, _) = commands()
         .iter()
         .find(|(s, _)| s.name == "simulate")
         .expect("simulate registered");

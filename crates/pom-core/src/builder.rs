@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pom_kernels::par::ChunkPool;
+use pom_kernels::ChunkPool;
 use pom_noise::{InteractionNoise, LocalNoise, NoDelay, NoNoise};
 use pom_topology::Topology;
 
@@ -130,13 +130,13 @@ impl PomBuilder {
     }
 
     /// Point-to-point protocol (β factor).
-    pub fn protocol(mut self, protocol: Protocol) -> Self {
+    pub(crate) fn protocol(mut self, protocol: Protocol) -> Self {
         self.protocol = protocol;
         self
     }
 
     /// Distance weight `κ`. When not set, derived from the topology via
-    /// `pom_topology::kappa::kappa_of_topology` with individual waits.
+    /// `pom_topology::kappa_of_topology` with individual waits.
     pub fn kappa(mut self, kappa: f64) -> Self {
         self.kappa = Some(kappa);
         self
@@ -231,7 +231,7 @@ impl PomBuilder {
             }
         }
         let kappa = self.kappa.unwrap_or_else(|| {
-            pom_topology::kappa::kappa_of_topology(&topology, pom_topology::WaitMode::Individual)
+            pom_topology::kappa_of_topology(&topology, pom_topology::WaitMode::Individual)
         });
         let mut params = PomParams::new(self.n, self.t_comp, self.t_comm, self.protocol, kappa);
         params.coupling_override = self.coupling_override;

@@ -48,7 +48,8 @@ pub struct TransportCoefficients {
 
 impl TransportCoefficients {
     /// `true` if the underlying uniform state is long-wavelength stable.
-    pub fn stable(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn stable(&self) -> bool {
         self.diffusion >= 0.0
     }
 }
@@ -80,7 +81,8 @@ pub fn transport_coefficients(
 /// `Re λ(q) ≈ −D·q²` — the continuum image of
 /// `pom_core::stability::growth_rates`. Used by tests to verify the two
 /// descriptions agree for small `q`.
-pub fn growth_rate_smallq(coeffs: &TransportCoefficients, q: f64) -> f64 {
+#[cfg(test)]
+pub(crate) fn growth_rate_smallq(coeffs: &TransportCoefficients, q: f64) -> f64 {
     -coeffs.diffusion * q * q
 }
 

@@ -2,7 +2,7 @@
 //!
 //! A [`PomEnsemble`] advances R replicas of one scenario — identical
 //! structure, differing only in their noise realizations — as a single
-//! interleaved `n·R`-dimensional system (see [`pom_ode::ensemble`] for the
+//! interleaved `n·R`-dimensional system (see [`pom_ode::EnsembleLayout`] for the
 //! layout). It has no right-hand side of its own: it evaluates the rows of
 //! a single [`Pom`] (`rhs.rs`) at width R instead of width one, so one
 //! sin/cos pass, one stencil walk, one delay-node column and one `τ`
@@ -145,7 +145,7 @@ impl PomEnsemble {
     }
 
     /// Replica count `R`.
-    pub fn replicas(&self) -> usize {
+    pub(crate) fn replicas(&self) -> usize {
         self.members.len()
     }
 
@@ -160,7 +160,7 @@ impl PomEnsemble {
     }
 
     /// `true` if the ensemble runs on the delay-equation path.
-    pub fn has_delays(&self) -> bool {
+    pub(crate) fn has_delays(&self) -> bool {
         self.members[0].has_delays()
     }
 

@@ -50,7 +50,7 @@ use crate::rhs::NodeTable;
 
 /// Selects how the oscillator coupling sum is evaluated.
 ///
-/// See the [module documentation](self) for the accuracy policy. The
+/// The `kernel` module documentation states the accuracy policy. The
 /// kernel never changes *what* is computed — only how; campaign results
 /// produced with `Exact` are the bitwise reference, `SinCosSplit` trades
 /// `~1e-12` reproducibility for large-`N` throughput.
@@ -111,7 +111,7 @@ impl RhsKernel {
 
     /// The arithmetic a run's streaming observers follow: the model drivers
     /// pass it to [`pom_ode::StepObserver::accuracy`] before integrating.
-    pub fn accuracy(&self) -> Accuracy {
+    pub(crate) fn accuracy(&self) -> Accuracy {
         match self {
             RhsKernel::Exact => Accuracy::Exact,
             RhsKernel::SinCosSplit => Accuracy::Policy,

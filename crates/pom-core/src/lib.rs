@@ -18,7 +18,7 @@
 //!   *resource-bottlenecked* programs (Eq. 4, short-range repulsive ⇒
 //!   desynchronization with stable pair separation `2σ/3`).
 //! * `pom_topology::Topology` — the sparse dependency matrix `T_ij`.
-//! * [`params::PomParams`] — durations, protocol factor `β` (eager = 1,
+//! * `params::PomParams` — durations, protocol factor `β` (eager = 1,
 //!   rendezvous = 2) and distance weight `κ`, giving the coupling
 //!   `v_p = β·κ/(t_comp + t_comm)`.
 //! * `pom_noise` — the frozen noise terms `ζ_i(t)` and `τ_ij(t)`.
@@ -56,30 +56,31 @@
 //! assert!(run.final_order_parameter() > 0.999); // resynchronized
 //! ```
 
-pub mod builder;
-pub mod continuum;
-pub mod ensemble;
-pub mod initial;
-pub mod kernel;
-pub mod model;
-pub mod observables;
-pub mod params;
-pub mod potential;
-pub mod presets;
+mod builder;
+mod continuum;
+mod ensemble;
+mod initial;
+mod kernel;
+mod model;
+mod observables;
+mod params;
+mod potential;
+mod presets;
 mod rhs;
-pub mod simulate;
+mod simulate;
 pub mod stability;
 
-pub use builder::{PomBuilder, PomError};
-pub use continuum::{transport_coefficients, TransportCoefficients};
+pub use builder::PomBuilder;
+pub use continuum::transport_coefficients;
 pub use ensemble::PomEnsemble;
 pub use initial::InitialCondition;
 pub use kernel::RhsKernel;
 pub use model::{Normalization, Pom};
 pub use observables::{
-    adjacent_differences, lagger_normalized, order_parameter, phase_spread, winding_number,
+    adjacent_differences, lagger_normalized, order_parameter, phase_spread, phase_summary,
+    winding_number, PhaseSummary,
 };
-pub use params::{PomParams, Protocol};
+pub use params::Protocol;
 pub use potential::Potential;
 pub use presets::{fig2_model, fig2_params, Fig2Panel};
 pub use simulate::{PomRun, SimOptions, SimSummary, SimWorkspace, SolverChoice};

@@ -8,7 +8,7 @@
 use std::f64::consts::TAU;
 use std::sync::{Arc, Mutex};
 
-use pom_kernels::par::ChunkPool;
+use pom_kernels::ChunkPool;
 use pom_noise::{InteractionNoise, LocalNoise};
 use pom_ode::dde::{DdeSystem, PhaseHistory};
 use pom_ode::OdeSystem;
@@ -212,7 +212,7 @@ mod tests {
     use crate::builder::PomBuilder;
     use crate::params::Protocol;
     use pom_noise::{DelayEvent, OneOffDelays};
-    use pom_ode::dopri5::Dopri5;
+    use pom_ode::Dopri5;
 
     /// Two coupled oscillators with equal frequencies: helper returning the
     /// phase difference trajectory under a given potential and coupling.

@@ -169,7 +169,7 @@ pub fn winding_number(phases: &[f64]) -> i64 {
 }
 
 /// Mean of the absolute adjacent differences (a scalar "desync amplitude").
-pub fn mean_abs_adjacent_difference(phases: &[f64]) -> f64 {
+pub(crate) fn mean_abs_adjacent_difference(phases: &[f64]) -> f64 {
     let d = adjacent_differences(phases);
     if d.is_empty() {
         return 0.0;

@@ -6,7 +6,7 @@
 //! characteristics [Afzal et al. 2021]: Messages sent via the eager
 //! (rendezvous) protocol have β = 1 (2), and κ is the sum over all
 //! communication distances" — or the longest distance only under a single
-//! `MPI_Waitall` (see `pom_topology::kappa`).
+//! `MPI_Waitall` (see `pom_topology::kappa_for`).
 
 use std::f64::consts::TAU;
 
@@ -27,14 +27,6 @@ impl Protocol {
         match self {
             Protocol::Eager => 1.0,
             Protocol::Rendezvous => 2.0,
-        }
-    }
-
-    /// Name for output tables.
-    pub fn name(self) -> &'static str {
-        match self {
-            Protocol::Eager => "eager",
-            Protocol::Rendezvous => "rendezvous",
         }
     }
 }
@@ -59,7 +51,7 @@ pub struct PomParams {
 
 impl PomParams {
     /// Parameters with the paper's derived coupling.
-    pub fn new(n: usize, t_comp: f64, t_comm: f64, protocol: Protocol, kappa: f64) -> Self {
+    pub(crate) fn new(n: usize, t_comp: f64, t_comm: f64, protocol: Protocol, kappa: f64) -> Self {
         Self {
             n,
             t_comp,
@@ -77,7 +69,7 @@ impl PomParams {
     }
 
     /// Natural angular frequency `ω = 2π / (t_comp + t_comm)`.
-    pub fn omega(&self) -> f64 {
+    pub(crate) fn omega(&self) -> f64 {
         TAU / self.cycle_time()
     }
 

@@ -117,7 +117,8 @@ impl Potential {
 
     /// `true` if the potential is periodic (allows phase slips — the
     /// property that makes plain Kuramoto unsuitable, §2.2.2).
-    pub fn allows_phase_slips(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn allows_phase_slips(&self) -> bool {
         matches!(self, Potential::KuramotoSin)
     }
 

@@ -74,20 +74,20 @@ impl Fig2Panel {
 }
 
 /// Interaction horizon used for panel (b).
-pub const SIGMA_B: f64 = 3.0;
+pub(crate) const SIGMA_B: f64 = 3.0;
 
 /// Number of oscillators in the Fig. 2 runs (40 ranks on 4 Meggie
 /// sockets, §4).
-pub const FIG2_N: usize = 40;
+pub(crate) const FIG2_N: usize = 40;
 
 /// Compute-phase duration used in the presets (seconds).
-pub const FIG2_T_COMP: f64 = 0.9;
+pub(crate) const FIG2_T_COMP: f64 = 0.9;
 
 /// Communication-phase duration used in the presets (seconds).
-pub const FIG2_T_COMM: f64 = 0.1;
+pub(crate) const FIG2_T_COMM: f64 = 0.1;
 
 /// Rank receiving the one-off delay (§5.1: "the 5th MPI process").
-pub const FIG2_DELAY_RANK: usize = 5;
+pub(crate) const FIG2_DELAY_RANK: usize = 5;
 
 /// Human-readable parameter summary for a panel (used in reports).
 pub fn fig2_params(panel: Fig2Panel) -> String {
@@ -101,7 +101,7 @@ pub fn fig2_params(panel: Fig2Panel) -> String {
 
 /// The one-off delay injection shared by all panels: rank 5 performs
 /// `extra_cycles` additional cycle-times of work starting at `t_start`.
-pub fn fig2_injection(t_start: f64, extra_cycles: f64) -> OneOffDelays {
+pub(crate) fn fig2_injection(t_start: f64, extra_cycles: f64) -> OneOffDelays {
     let cycle = FIG2_T_COMP + FIG2_T_COMM;
     OneOffDelays::new(vec![DelayEvent {
         rank: FIG2_DELAY_RANK,

@@ -24,7 +24,7 @@ use std::f64::consts::TAU;
 use std::ops::Range;
 use std::sync::Mutex;
 
-use pom_kernels::par::{ChunkPool, DisjointSliceMut};
+use pom_kernels::{ChunkPool, DisjointSliceMut};
 use pom_ode::dde::PhaseHistory;
 
 use crate::kernel::{self, DesyncPair, PairTerm, RhsKernel, SinPair, SplitScratch, Width};

@@ -131,7 +131,8 @@ impl PomRun {
     }
 
     /// Sampled time grid.
-    pub fn times(&self) -> &[f64] {
+    #[cfg(test)]
+    pub(crate) fn times(&self) -> &[f64] {
         self.trajectory.times()
     }
 
@@ -186,23 +187,14 @@ impl PomRun {
     pub fn mean_abs_adjacent_gap(&self) -> f64 {
         mean_abs_adjacent_difference(self.trajectory.last().expect("non-empty run"))
     }
-
-    /// Time series of one oscillator's lagger-normalized phase.
-    pub fn normalized_component_series(&self, i: usize) -> Vec<(f64, f64)> {
-        (0..self.trajectory.len())
-            .map(|k| (self.trajectory.time(k), self.normalized_snapshot(k)[i]))
-            .collect()
-    }
 }
 
 /// Result of an *observed* model run: O(N) summary data instead of a
-/// trajectory — the natural frequency, step counters, and the final
-/// state, with the final-sample observables as methods. Everything
+/// trajectory — the step count and the final state, with the
+/// final-sample observables as methods. Everything
 /// time-resolved lives in whatever [`StepObserver`] the caller attached.
 #[derive(Debug, Clone)]
 pub struct SimSummary {
-    omega: f64,
-    t_end: f64,
     n_steps: usize,
     final_state: Vec<f64>,
 }
@@ -211,24 +203,14 @@ impl SimSummary {
     /// Assemble a summary from externally held parts — for consumers that
     /// already ran a recording path and want the same final-sample
     /// observable methods on it (`n_steps` then counts whatever the
-    /// caller's driver counted, e.g. recorded samples).
-    pub fn from_final(omega: f64, t_end: f64, n_steps: usize, final_state: Vec<f64>) -> Self {
+    /// caller's driver counted, e.g. recorded samples). The summary keeps
+    /// no frequency or end time: `_omega` and `_t_end` are accepted and
+    /// unused.
+    pub fn from_final(_omega: f64, _t_end: f64, n_steps: usize, final_state: Vec<f64>) -> Self {
         Self {
-            omega,
-            t_end,
             n_steps,
             final_state,
         }
-    }
-
-    /// Natural angular frequency `ω` of the noise-free oscillator.
-    pub fn omega(&self) -> f64 {
-        self.omega
-    }
-
-    /// Time reached (== the requested span end).
-    pub fn t_end(&self) -> f64 {
-        self.t_end
     }
 
     /// Accepted integrator steps taken (== observer `observe_step`
@@ -252,20 +234,10 @@ impl SimSummary {
         phase_spread(&self.final_state)
     }
 
-    /// Adjacent phase differences at `t_end` (wavefront slope).
-    pub fn final_adjacent_differences(&self) -> Vec<f64> {
-        adjacent_differences(&self.final_state)
-    }
-
     /// Mean `|adjacent phase difference|` at `t_end` (0 for a single
     /// oscillator) — matches [`PomRun::mean_abs_adjacent_gap`].
     pub fn mean_abs_adjacent_gap(&self) -> f64 {
         mean_abs_adjacent_difference(&self.final_state)
-    }
-
-    /// Lagger-normalized phases at `t_end` (the paper's standard view).
-    pub fn final_normalized(&self) -> Vec<f64> {
-        lagger_normalized(&self.final_state, self.omega, self.t_end)
     }
 }
 
@@ -385,7 +357,7 @@ impl Pom {
     /// interaction delays the method-of-steps history is pruned to the
     /// model's maximum delay window, so memory stays O(N · τ_max/h)
     /// instead of O(N · steps). Before integrating, the observer hears the
-    /// kernel's [`RhsKernel::accuracy`](crate::RhsKernel::accuracy)
+    /// kernel's `RhsKernel::accuracy`
     /// through [`StepObserver::accuracy`], so its statistics follow the
     /// kernel.
     ///
@@ -432,11 +404,10 @@ impl Pom {
         ws: &mut SimWorkspace,
     ) -> Result<SimSummary, OdeError> {
         let y0 = init.phases(self.n());
-        let omega = self.omega();
         let (solver, h_cap) = self.resolve_solver(opts);
         obs.accuracy(self.kernel().accuracy());
 
-        let (t_end, n_steps, final_state) = match solver {
+        let (_, n_steps, final_state) = match solver {
             SolverChoice::Dopri5 { rtol, atol } => {
                 let mut solver = Dopri5::new().rtol(rtol).atol(atol);
                 if let Some(h) = h_cap {
@@ -475,8 +446,6 @@ impl Pom {
 
         count_simulation();
         Ok(SimSummary {
-            omega,
-            t_end,
             n_steps,
             final_state,
         })
@@ -748,18 +717,5 @@ mod tests {
             )
             .unwrap();
         assert!(run.final_order_parameter() > 0.99);
-    }
-
-    #[test]
-    fn normalized_component_series_tracks_lag() {
-        let run = scalable_model(8)
-            .simulate(InitialCondition::Synchronized, 5.0)
-            .unwrap();
-        let series = run.normalized_component_series(3);
-        assert_eq!(series.len(), run.trajectory().len());
-        // Synchronized, noise-free: everyone *is* the lagger (all zero).
-        for (_, v) in series {
-            assert!(v.abs() < 1e-9);
-        }
     }
 }

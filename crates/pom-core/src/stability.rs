@@ -60,7 +60,7 @@ pub fn growth_rates(
 /// Largest growth rate over the non-trivial modes (`m ≠ 0`).
 ///
 /// Positive ⇒ the state is linearly unstable.
-pub fn max_growth_rate(
+pub(crate) fn max_growth_rate(
     potential: Potential,
     coupling_scale: f64,
     distances: &[i32],

@@ -20,7 +20,7 @@ use pom_core::{
     SimOptions, SimWorkspace, SolverChoice,
 };
 use pom_noise::{RandomCommDelay, WhiteJitter};
-use pom_ode::observe::CollectObserver;
+use pom_ode::CollectObserver;
 use pom_ode::OdeSystem;
 use pom_topology::Topology;
 use proptest::prelude::*;

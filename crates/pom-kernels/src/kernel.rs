@@ -28,16 +28,6 @@ impl SocketSpec {
             single_core_bw: 20.0e9,
         }
     }
-
-    /// One SuperMUC-NG-like socket: 24-core Skylake, 102 GB/s saturated.
-    pub fn supermuc_ng_like() -> Self {
-        SocketSpec {
-            freq: 2.3e9,
-            cores: 24,
-            mem_bw: 102.0e9,
-            single_core_bw: 14.0e9,
-        }
-    }
 }
 
 /// A loop kernel characterized per "loop update" (LUP — one iteration of
@@ -102,12 +92,6 @@ impl Kernel {
         ]
     }
 
-    /// `true` if the kernel performs no memory traffic (resource-scalable
-    /// in the paper's sense).
-    pub fn is_compute_bound(&self) -> bool {
-        self.bytes_per_lup == 0.0
-    }
-
     /// In-core execution time for `lups` loop updates (no memory
     /// bottleneck), seconds.
     pub fn core_time(&self, lups: f64, socket: &SocketSpec) -> f64 {
@@ -115,7 +99,7 @@ impl Kernel {
     }
 
     /// Memory-transfer time for `lups` updates at achieved bandwidth `bw`.
-    pub fn mem_time(&self, lups: f64, bw: f64) -> f64 {
+    pub(crate) fn mem_time(&self, lups: f64, bw: f64) -> f64 {
         if self.bytes_per_lup == 0.0 {
             0.0
         } else {
@@ -126,7 +110,7 @@ impl Kernel {
     /// Execution time for `lups` updates when the core may draw at most
     /// `bw` bytes/s from memory: `max(in-core, traffic/bw)` (naive
     /// roofline; overlap assumed perfect).
-    pub fn exec_time(&self, lups: f64, socket: &SocketSpec, bw: f64) -> f64 {
+    pub(crate) fn exec_time(&self, lups: f64, socket: &SocketSpec, bw: f64) -> f64 {
         let t_core = self.core_time(lups, socket);
         if self.bytes_per_lup == 0.0 {
             return t_core;
@@ -136,7 +120,7 @@ impl Kernel {
 
     /// Unconstrained single-core execution time (bandwidth capped only by
     /// the core's own concurrency limit).
-    pub fn single_core_time(&self, lups: f64, socket: &SocketSpec) -> f64 {
+    pub(crate) fn single_core_time(&self, lups: f64, socket: &SocketSpec) -> f64 {
         self.exec_time(lups, socket, socket.single_core_bw)
     }
 
@@ -160,13 +144,6 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn paper_kernel_classification() {
-        assert!(Kernel::pisolver().is_compute_bound());
-        assert!(!Kernel::stream_triad().is_compute_bound());
-        assert!(!Kernel::schoenauer_slow().is_compute_bound());
-    }
 
     #[test]
     fn stream_demands_more_bandwidth_than_slow_triad() {

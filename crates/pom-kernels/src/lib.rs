@@ -18,7 +18,7 @@
 //! in-core cycle cost. Combined with a socket's bandwidth budget it yields
 //! the per-socket scaling curves of paper Fig. 1(b)
 //! ([`scaling::scaling_curve`]) and the compute-phase durations that the
-//! MPI simulator stretches under contention ([`contention`]).
+//! MPI simulator stretches under contention (`contention`).
 //!
 //! The kernels are also *implemented* as real loops ([`exec`]) so tests can
 //! sanity-check the relative in-core costs the model assumes.
@@ -29,13 +29,13 @@
 //! evaluation across cores (it lives here, in the foundation layer,
 //! because it knows nothing about oscillators).
 
-pub mod contention;
+mod contention;
 pub mod exec;
-pub mod kernel;
-pub mod par;
-pub mod scaling;
+mod kernel;
+mod par;
+mod scaling;
 
-pub use contention::{share_bandwidth, BandwidthShare};
+pub use contention::share_bandwidth;
 pub use kernel::{Kernel, SocketSpec};
 pub use par::{ChunkPool, DisjointSliceMut};
-pub use scaling::{saturation_point, scaling_curve, ScalingPoint};
+pub use scaling::{saturation_point, scaling_curve};

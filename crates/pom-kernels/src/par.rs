@@ -20,7 +20,7 @@
 //! deterministic under the pool.
 //!
 //! ```
-//! use pom_kernels::par::{ChunkPool, DisjointSliceMut};
+//! use pom_kernels::{ChunkPool, DisjointSliceMut};
 //!
 //! let pool = ChunkPool::new(2);
 //! let mut out = vec![0.0f64; 1000];
@@ -335,21 +335,11 @@ impl<'a, T> DisjointSliceMut<'a, T> {
         }
     }
 
-    /// Length of the wrapped slice.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the wrapped slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Reborrow `range` of the underlying slice mutably.
     ///
     /// # Safety
     /// No two live borrows obtained from this wrapper (on any thread) may
-    /// overlap, and `range` must lie within `0..self.len()`. Ranges handed
+    /// overlap, and `range` must lie within the wrapped slice. Ranges handed
     /// out by [`ChunkPool::run`] satisfy the disjointness requirement.
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn range_mut(&self, range: Range<usize>) -> &mut [T] {

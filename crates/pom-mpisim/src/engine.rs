@@ -146,7 +146,7 @@ struct RankState {
 /// The cluster spec carries the saturated per-socket bandwidth; the
 /// single-core concurrency limit is taken from published measurements for
 /// the known presets and defaults to 30 % of saturation otherwise.
-pub fn socket_spec_for(cluster: &ClusterSpec) -> SocketSpec {
+pub(crate) fn socket_spec_for(cluster: &ClusterSpec) -> SocketSpec {
     let single_core_bw = match cluster.name {
         "meggie" => 20.0e9,
         "supermuc-ng-like" => 14.0e9,
@@ -164,7 +164,6 @@ pub fn socket_spec_for(cluster: &ClusterSpec) -> SocketSpec {
 pub struct Simulator {
     program: ProgramSpec,
     placement: Placement,
-    socket_spec: SocketSpec,
     /// Per-iteration in-core time (before injections), seconds.
     core_time_base: f64,
     /// Per-iteration memory traffic, bytes.
@@ -197,7 +196,6 @@ impl Simulator {
         Ok(Self {
             program,
             placement,
-            socket_spec,
             core_time_base,
             mem_bytes,
             demand,
@@ -207,17 +205,13 @@ impl Simulator {
 
     /// The effective per-iteration compute duration of an un-contended
     /// rank (the analog of the model's `t_comp`).
-    pub fn alone_compute_time(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn alone_compute_time(&self) -> f64 {
         if self.mem_bytes > 0.0 {
             self.core_time_base.max(self.mem_bytes / self.demand)
         } else {
             self.core_time_base
         }
-    }
-
-    /// The socket description in use.
-    pub fn socket_spec(&self) -> &SocketSpec {
-        &self.socket_spec
     }
 
     /// Run the program to completion and return the trace.

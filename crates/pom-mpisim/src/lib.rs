@@ -12,9 +12,9 @@
 //!    iterates compute → send → waitall; rank `i` *receives from* the
 //!    ranks `i + d` of its distance set each iteration, so delays ripple
 //!    exactly along the oscillator model's topology matrix.
-//! 2. **Bounded shared resource** ([`socket::SocketFluid`]): ranks on one
+//! 2. **Bounded shared resource** (`socket::SocketFluid`): ranks on one
 //!    socket share its memory bandwidth via max-min fair processor
-//!    sharing (`pom_kernels::contention`); memory-bound compute phases
+//!    sharing (`pom_kernels::share_bandwidth`); memory-bound compute phases
 //!    stretch under contention — the substrate of desynchronization and
 //!    bottleneck evasion.
 //! 3. **Communication protocol** ([`protocol::MpiProtocol`]): eager sends
@@ -45,15 +45,15 @@
 //! assert!(trace.iteration_start_spread(10) < 1e-5);
 //! ```
 
-pub mod engine;
-pub mod experiment;
-pub mod program;
-pub mod protocol;
-pub mod socket;
-pub mod trace;
+mod engine;
+mod experiment;
+mod program;
+mod protocol;
+mod socket;
+mod trace;
 
-pub use engine::{SimError, Simulator};
+pub use engine::Simulator;
 pub use experiment::{idle_wave_run, lockstep_run, IdleWaveConfig};
 pub use program::{ProgramSpec, SimDelay, WorkSpec};
 pub use protocol::MpiProtocol;
-pub use trace::{RankTrace, Segment, SegmentKind, SimTrace};
+pub use trace::{Segment, SegmentKind, SimTrace};

@@ -129,7 +129,7 @@ impl ProgramSpec {
     }
 
     /// Ranks this rank *receives from* each iteration (`i + d`, wrapped).
-    pub fn recv_partners(&self, rank: usize) -> Vec<usize> {
+    pub(crate) fn recv_partners(&self, rank: usize) -> Vec<usize> {
         let n = self.n_ranks as i64;
         let mut v: Vec<usize> = self
             .distances
@@ -144,7 +144,7 @@ impl ProgramSpec {
 
     /// Ranks this rank *sends to* each iteration (the mirror of
     /// [`ProgramSpec::recv_partners`]: `i − d`, wrapped).
-    pub fn send_partners(&self, rank: usize) -> Vec<usize> {
+    pub(crate) fn send_partners(&self, rank: usize) -> Vec<usize> {
         let n = self.n_ranks as i64;
         let mut v: Vec<usize> = self
             .distances
@@ -159,7 +159,7 @@ impl ProgramSpec {
 
     /// Total injected extra core time for `(rank, iteration)`, including
     /// background noise (deterministic in the seed).
-    pub fn extra_core_time(&self, rank: usize, iteration: usize) -> f64 {
+    pub(crate) fn extra_core_time(&self, rank: usize, iteration: usize) -> f64 {
         let mut extra: f64 = self
             .injections
             .iter()
@@ -178,7 +178,7 @@ impl ProgramSpec {
     }
 
     /// Validate structural invariants.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.n_ranks == 0 {
             return Err("n_ranks must be positive".into());
         }

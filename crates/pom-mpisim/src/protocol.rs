@@ -32,21 +32,11 @@ impl MpiProtocol {
             MpiProtocol::Rendezvous => "rendezvous",
         }
     }
-
-    /// Pick the protocol MPI would use for a message of `bytes` given the
-    /// library's eager threshold.
-    pub fn for_message(bytes: usize, eager_threshold: usize) -> Self {
-        if bytes <= eager_threshold {
-            MpiProtocol::Eager
-        } else {
-            MpiProtocol::Rendezvous
-        }
-    }
 }
 
 /// Identity of one point-to-point message instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct MsgKey {
+pub(crate) struct MsgKey {
     /// Sending rank.
     pub src: u32,
     /// Receiving rank.
@@ -63,16 +53,6 @@ mod tests {
     fn beta_matches_paper() {
         assert_eq!(MpiProtocol::Eager.beta(), 1.0);
         assert_eq!(MpiProtocol::Rendezvous.beta(), 2.0);
-    }
-
-    #[test]
-    fn threshold_selection() {
-        assert_eq!(MpiProtocol::for_message(100, 16_384), MpiProtocol::Eager);
-        assert_eq!(MpiProtocol::for_message(16_384, 16_384), MpiProtocol::Eager);
-        assert_eq!(
-            MpiProtocol::for_message(16_385, 16_384),
-            MpiProtocol::Rendezvous
-        );
     }
 
     #[test]

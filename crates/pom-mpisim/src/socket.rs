@@ -23,7 +23,7 @@ struct Stream {
 
 /// Max-min-fair fluid state of one socket's memory interface.
 #[derive(Debug, Clone)]
-pub struct SocketFluid {
+pub(crate) struct SocketFluid {
     capacity: f64,
     last_update: f64,
     generation: u64,
@@ -32,7 +32,7 @@ pub struct SocketFluid {
 
 impl SocketFluid {
     /// A socket with the given saturated bandwidth (bytes/s).
-    pub fn new(capacity: f64) -> Self {
+    pub(crate) fn new(capacity: f64) -> Self {
         assert!(capacity > 0.0 && capacity.is_finite());
         Self {
             capacity,
@@ -43,12 +43,13 @@ impl SocketFluid {
     }
 
     /// Current generation (bumped whenever the active set changes).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 
     /// Number of active streams.
-    pub fn n_active(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_active(&self) -> usize {
         self.streams.len()
     }
 
@@ -59,7 +60,7 @@ impl SocketFluid {
     }
 
     /// Progress all streams from `last_update` to `t`.
-    pub fn advance(&mut self, t: f64) {
+    pub(crate) fn advance(&mut self, t: f64) {
         debug_assert!(t >= self.last_update - 1e-12, "time went backwards");
         let dt = (t - self.last_update).max(0.0);
         if dt > 0.0 && !self.streams.is_empty() {
@@ -73,7 +74,7 @@ impl SocketFluid {
 
     /// Add a stream for `rank` at time `t` (the fluid is advanced first).
     /// Returns the new generation.
-    pub fn add_stream(&mut self, t: f64, rank: u32, demand: f64, bytes: f64) -> u64 {
+    pub(crate) fn add_stream(&mut self, t: f64, rank: u32, demand: f64, bytes: f64) -> u64 {
         debug_assert!(demand > 0.0 && bytes > 0.0);
         self.advance(t);
         debug_assert!(
@@ -92,7 +93,7 @@ impl SocketFluid {
     /// Remove and return the ranks whose streams are complete
     /// (`remaining ≈ 0`) at the current fluid time. Bumps the generation
     /// if anything was removed.
-    pub fn take_completed(&mut self) -> Vec<u32> {
+    pub(crate) fn take_completed(&mut self) -> Vec<u32> {
         let mut done = Vec::new();
         self.streams.retain(|s| {
             if s.remaining <= EPS_BYTES {
@@ -110,7 +111,7 @@ impl SocketFluid {
 
     /// Projected time of the next stream completion given the current
     /// active set (no event ⇒ `None`).
-    pub fn next_completion(&self) -> Option<f64> {
+    pub(crate) fn next_completion(&self) -> Option<f64> {
         if self.streams.is_empty() {
             return None;
         }
@@ -124,7 +125,8 @@ impl SocketFluid {
     }
 
     /// Instantaneous aggregate granted bandwidth.
-    pub fn aggregate_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn aggregate_rate(&self) -> f64 {
         self.rates().iter().sum()
     }
 }

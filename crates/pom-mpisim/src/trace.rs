@@ -30,7 +30,7 @@ pub struct Segment {
 
 impl Segment {
     /// Segment duration.
-    pub fn duration(&self) -> f64 {
+    pub(crate) fn duration(&self) -> f64 {
         self.t1 - self.t0
     }
 }
@@ -80,12 +80,12 @@ impl RankTrace {
     }
 
     /// Start time of iteration `k`.
-    pub fn iter_start(&self, k: usize) -> f64 {
+    pub(crate) fn iter_start(&self, k: usize) -> f64 {
         self.iter_start[k]
     }
 
     /// Compute-phase end of iteration `k`.
-    pub fn compute_end(&self, k: usize) -> f64 {
+    pub(crate) fn compute_end(&self, k: usize) -> f64 {
         self.compute_end[k]
     }
 
@@ -95,7 +95,7 @@ impl RankTrace {
     }
 
     /// Number of completed iterations.
-    pub fn n_iterations(&self) -> usize {
+    pub(crate) fn n_iterations(&self) -> usize {
         self.iter_end.len()
     }
 
@@ -118,7 +118,8 @@ impl RankTrace {
     }
 
     /// Wait time inside iteration `k`.
-    pub fn wait_in_iter(&self, k: usize) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn wait_in_iter(&self, k: usize) -> f64 {
         self.iter_end(k) - self.compute_end(k)
     }
 }
@@ -167,7 +168,8 @@ impl SimTrace {
 
     /// Compute-phase end times of iteration `k` across ranks (the
     /// "computational wavefront" coordinate, §5.1.2).
-    pub fn compute_ends(&self, k: usize) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn compute_ends(&self, k: usize) -> Vec<f64> {
         self.ranks.iter().map(|r| r.compute_end(k)).collect()
     }
 
@@ -181,18 +183,13 @@ impl SimTrace {
     }
 
     /// Aggregate idle fraction of the run (Σ wait / (N × makespan)).
-    pub fn idle_fraction(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn idle_fraction(&self) -> f64 {
         if self.makespan <= 0.0 || self.ranks.is_empty() {
             return 0.0;
         }
         let total_wait: f64 = self.ranks.iter().map(RankTrace::total_wait).sum();
         total_wait / (self.makespan * self.ranks.len() as f64)
-    }
-
-    /// Per-rank wait time in iteration `k` (the idle-wave field: the wave
-    /// appears as a band of elevated wait times moving across ranks).
-    pub fn wait_field(&self, k: usize) -> Vec<f64> {
-        self.ranks.iter().map(|r| r.wait_in_iter(k)).collect()
     }
 
     /// Verify structural invariants (used by property tests): segments
@@ -287,14 +284,6 @@ mod tests {
         // wait: 0.5 + 0 (r1 has no wait segment, sub-0.1 gap recorded via
         // iter_end only) over 2 × 1.5.
         assert!((tr.idle_fraction() - 0.5 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn wait_field_shows_imbalance() {
-        let tr = sample_trace();
-        let field = tr.wait_field(0);
-        assert!((field[0] - 0.5).abs() < 1e-12);
-        assert!((field[1] - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -175,7 +175,7 @@ impl RandomCommDelay {
 }
 
 /// The lattice is the frozen field's: `τ` interpolates the pair's two
-/// standard-normal nodes exactly as [`FrozenField::sample`] does, then
+/// standard-normal nodes exactly as `FrozenField::sample` does, then
 /// scales, shifts and clamps.
 impl InteractionNoise for RandomCommDelay {
     fn cell(&self, t: f64) -> (i64, f64) {

@@ -12,7 +12,7 @@
 //!
 //! Both are exposed as traits ([`LocalNoise`], [`InteractionNoise`]) whose
 //! implementations are **frozen noise**: deterministic functions of
-//! `(rank, t)` built from a counter-based PRNG ([`rng`]). Determinism
+//! `(rank, t)` built from a counter-based PRNG (`rng`). Determinism
 //! matters because adaptive ODE solvers re-evaluate the right-hand side at
 //! repeated times (rejected steps, dense output); a noise term that changed
 //! between evaluations would break the integrator's error control and make
@@ -22,13 +22,10 @@
 //! workload on rank 5 that launches an idle wave) are modeled by
 //! [`DelayEvent`] / [`OneOffDelays`].
 
-pub mod interaction;
-pub mod local;
-pub mod rng;
+mod interaction;
+mod local;
+mod rng;
 
 pub use interaction::{ConstantDelay, InteractionNoise, NoDelay, RandomCommDelay};
-pub use local::{
-    DelayEvent, LoadImbalance, LocalNoise, NoNoise, OneOffDelays, PeriodicDaemon, SumNoise,
-    WhiteJitter,
-};
-pub use rng::{FrozenField, SplitMix64, Xoshiro256pp};
+pub use local::{DelayEvent, LocalNoise, NoNoise, OneOffDelays, SumNoise, WhiteJitter};
+pub use rng::{SplitMix64, Xoshiro256pp};

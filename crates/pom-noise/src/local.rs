@@ -39,7 +39,7 @@ impl LocalNoise for NoNoise {
 }
 
 /// Gaussian jitter with standard deviation `sigma` and correlation time
-/// `corr_time`, built on a [`FrozenField`].
+/// `corr_time`, built on a `FrozenField`.
 #[derive(Debug, Clone, Copy)]
 pub struct WhiteJitter {
     field: FrozenField,
@@ -67,71 +67,6 @@ impl LocalNoise for WhiteJitter {
     }
 }
 
-/// Periodic OS-daemon-like disturbance: every `period` seconds each rank
-/// suffers `magnitude` extra time for a window of `duty × period`. Ranks
-/// are offset by `rank_phase` so that daemons do not fire simultaneously
-/// across the machine.
-#[derive(Debug, Clone, Copy)]
-pub struct PeriodicDaemon {
-    /// Repetition period in seconds.
-    pub period: f64,
-    /// Fraction of the period the disturbance is active (0..1).
-    pub duty: f64,
-    /// Extra cycle time while active, in seconds.
-    pub magnitude: f64,
-    /// Per-rank phase offset in seconds.
-    pub rank_phase: f64,
-}
-
-impl LocalNoise for PeriodicDaemon {
-    fn zeta(&self, rank: usize, t: f64) -> f64 {
-        let local_t = t + rank as f64 * self.rank_phase;
-        let phase = local_t.rem_euclid(self.period);
-        if phase < self.duty * self.period {
-            self.magnitude
-        } else {
-            0.0
-        }
-    }
-    fn is_null(&self) -> bool {
-        self.magnitude == 0.0 || self.duty == 0.0
-    }
-}
-
-/// Static load imbalance: a constant extra cycle time per rank.
-#[derive(Debug, Clone, Default)]
-pub struct LoadImbalance {
-    extra: Vec<f64>,
-}
-
-impl LoadImbalance {
-    /// Per-rank extra cycle times (ranks beyond the vector get 0).
-    pub fn new(extra: Vec<f64>) -> Self {
-        Self { extra }
-    }
-
-    /// Linear ramp: rank `i` of `n` gets `i/(n−1) × max_extra`.
-    pub fn ramp(n: usize, max_extra: f64) -> Self {
-        if n <= 1 {
-            return Self::new(vec![0.0; n]);
-        }
-        Self::new(
-            (0..n)
-                .map(|i| max_extra * i as f64 / (n - 1) as f64)
-                .collect(),
-        )
-    }
-}
-
-impl LocalNoise for LoadImbalance {
-    fn zeta(&self, rank: usize, _t: f64) -> f64 {
-        self.extra.get(rank).copied().unwrap_or(0.0)
-    }
-    fn is_null(&self) -> bool {
-        self.extra.iter().all(|&e| e == 0.0)
-    }
-}
-
 /// A single injected delay: `rank` runs `extra` seconds slower per cycle
 /// during `[t_start, t_start + duration)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,16 +82,6 @@ pub struct DelayEvent {
 }
 
 impl DelayEvent {
-    /// The paper's canonical injection: one strong delay on rank 5.
-    pub fn paper_default(t_start: f64, extra: f64) -> Self {
-        Self {
-            rank: 5,
-            t_start,
-            duration: extra,
-            extra,
-        }
-    }
-
     fn active(&self, rank: usize, t: f64) -> bool {
         rank == self.rank && t >= self.t_start && t < self.t_start + self.duration
     }
@@ -213,13 +138,9 @@ impl SumNoise {
     }
 
     /// Number of components.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.parts.len()
-    }
-
-    /// `true` if no components are present.
-    pub fn is_empty(&self) -> bool {
-        self.parts.is_empty()
     }
 }
 
@@ -252,45 +173,6 @@ mod tests {
         // Scaling: sigma doubles the sample.
         let j2 = WhiteJitter::new(1, 0.5, 0.5);
         assert!((j2.zeta(0, 1.0) - 2.0 * j.zeta(0, 1.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn periodic_daemon_window() {
-        let d = PeriodicDaemon {
-            period: 1.0,
-            duty: 0.25,
-            magnitude: 0.1,
-            rank_phase: 0.0,
-        };
-        assert_eq!(d.zeta(0, 0.1), 0.1);
-        assert_eq!(d.zeta(0, 0.3), 0.0);
-        assert_eq!(d.zeta(0, 1.1), 0.1); // periodic
-        assert!(!d.is_null());
-    }
-
-    #[test]
-    fn periodic_daemon_rank_phase_staggers() {
-        let d = PeriodicDaemon {
-            period: 1.0,
-            duty: 0.1,
-            magnitude: 1.0,
-            rank_phase: 0.5,
-        };
-        // Rank 0 at t = 0.05 is inside its window; rank 1 is shifted.
-        assert_eq!(d.zeta(0, 0.05), 1.0);
-        assert_eq!(d.zeta(1, 0.05), 0.0);
-    }
-
-    #[test]
-    fn load_imbalance_ramp() {
-        let li = LoadImbalance::ramp(5, 0.4);
-        assert_eq!(li.zeta(0, 0.0), 0.0);
-        assert!((li.zeta(4, 123.0) - 0.4).abs() < 1e-12);
-        assert!((li.zeta(2, 0.0) - 0.2).abs() < 1e-12);
-        // Out-of-range ranks contribute nothing.
-        assert_eq!(li.zeta(17, 0.0), 0.0);
-        assert!(!li.is_null());
-        assert!(LoadImbalance::ramp(1, 0.4).is_null());
     }
 
     #[test]
@@ -329,16 +211,14 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_event_targets_rank_5() {
-        let e = DelayEvent::paper_default(10.0, 3.0);
-        assert_eq!(e.rank, 5);
-        assert_eq!(e.duration, 3.0);
-    }
-
-    #[test]
     fn sum_noise_combines() {
         let s = SumNoise::new()
-            .with(LoadImbalance::new(vec![0.0, 0.5]))
+            .with(OneOffDelays::new(vec![DelayEvent {
+                rank: 1,
+                t_start: 0.0,
+                duration: 10.0,
+                extra: 0.5,
+            }]))
             .with(OneOffDelays::new(vec![DelayEvent {
                 rank: 1,
                 t_start: 0.0,

@@ -21,13 +21,13 @@ pub struct SplitMix64 {
 
 impl SplitMix64 {
     /// Create a generator from a seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
     /// Next 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         Self::mix(self.state)
     }
@@ -76,7 +76,7 @@ impl Xoshiro256pp {
 
     /// Next raw 64-bit output.
     #[inline]
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let result = self.s[0]
             .wrapping_add(self.s[3])
             .rotate_left(23)
@@ -93,7 +93,7 @@ impl Xoshiro256pp {
 
     /// Uniform in `[0, 1)` with 53-bit resolution.
     #[inline]
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
@@ -101,54 +101,6 @@ impl Xoshiro256pp {
     #[inline]
     pub fn uniform(&mut self, lo: f64, hi: f64) -> f64 {
         lo + (hi - lo) * self.next_f64()
-    }
-
-    /// Standard normal via Box–Muller (polar-free, two uniforms).
-    pub fn normal(&mut self) -> f64 {
-        // Reject u1 == 0 to keep ln finite.
-        let mut u1 = self.next_f64();
-        while u1 <= f64::MIN_POSITIVE {
-            u1 = self.next_f64();
-        }
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
-    }
-
-    /// Exponential with rate `lambda` (mean `1/lambda`).
-    pub fn exponential(&mut self, lambda: f64) -> f64 {
-        debug_assert!(lambda > 0.0);
-        let mut u = self.next_f64();
-        while u <= f64::MIN_POSITIVE {
-            u = self.next_f64();
-        }
-        -u.ln() / lambda
-    }
-
-    /// Log-normal with underlying normal parameters `(mu, sigma)`.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        (mu + sigma * self.normal()).exp()
-    }
-
-    /// Uniform integer in `[0, n)` (Lemire-style rejection-free for our
-    /// needs: modulo bias is negligible for n ≪ 2⁶⁴ but we debias anyway).
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Rejection sampling over the largest multiple of n.
-        let zone = u64::MAX - (u64::MAX % n);
-        loop {
-            let v = self.next_u64();
-            if v < zone {
-                return v % n;
-            }
-        }
-    }
-
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.below((i + 1) as u64) as usize;
-            xs.swap(i, j);
-        }
     }
 }
 
@@ -159,14 +111,14 @@ impl Xoshiro256pp {
 ///
 /// The lattice spacing acts as the correlation time of the jitter.
 #[derive(Debug, Clone, Copy)]
-pub struct FrozenField {
+pub(crate) struct FrozenField {
     seed: u64,
     dt: f64,
 }
 
 impl FrozenField {
     /// Create a field with correlation time `dt` (must be positive).
-    pub fn new(seed: u64, dt: f64) -> Self {
+    pub(crate) fn new(seed: u64, dt: f64) -> Self {
         assert!(
             dt > 0.0 && dt.is_finite(),
             "lattice spacing must be positive"
@@ -203,7 +155,7 @@ impl FrozenField {
 
     /// Sample the field at time `t` for `rank` (standard-normal marginals,
     /// triangular autocorrelation of width `dt`).
-    pub fn sample(&self, rank: usize, t: f64) -> f64 {
+    pub(crate) fn sample(&self, rank: usize, t: f64) -> f64 {
         let (k, frac) = self.cell(t);
         let a = self.node(rank, k);
         let b = self.node(rank, k + 1);
@@ -267,66 +219,6 @@ mod tests {
         let var = sum2 / n as f64 - mean * mean;
         assert!((mean - 0.5).abs() < 0.005, "mean {mean}");
         assert!((var - 1.0 / 12.0).abs() < 0.005, "var {var}");
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut g = Xoshiro256pp::seeded(11);
-        let n = 200_000;
-        let (mut s, mut s2, mut s3) = (0.0, 0.0, 0.0);
-        for _ in 0..n {
-            let x = g.normal();
-            s += x;
-            s2 += x * x;
-            s3 += x * x * x;
-        }
-        let mean = s / n as f64;
-        let var = s2 / n as f64 - mean * mean;
-        let skew = s3 / n as f64;
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        assert!(skew.abs() < 0.05, "skew {skew}");
-    }
-
-    #[test]
-    fn exponential_mean() {
-        let mut g = Xoshiro256pp::seeded(3);
-        let lambda = 2.5;
-        let n = 100_000;
-        let mean: f64 = (0..n).map(|_| g.exponential(lambda)).sum::<f64>() / n as f64;
-        assert!((mean - 1.0 / lambda).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn lognormal_positive() {
-        let mut g = Xoshiro256pp::seeded(5);
-        for _ in 0..1000 {
-            assert!(g.lognormal(0.0, 1.0) > 0.0);
-        }
-    }
-
-    #[test]
-    fn below_is_in_range_and_roughly_uniform() {
-        let mut g = Xoshiro256pp::seeded(9);
-        let mut counts = [0usize; 7];
-        for _ in 0..70_000 {
-            counts[g.below(7) as usize] += 1;
-        }
-        for (i, &c) in counts.iter().enumerate() {
-            assert!((c as f64 - 10_000.0).abs() < 500.0, "bucket {i}: {c}");
-        }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut g = Xoshiro256pp::seeded(13);
-        let mut v: Vec<u32> = (0..50).collect();
-        g.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-        // Shuffling 50 elements virtually never yields identity.
-        assert_ne!(v, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,17 +5,15 @@
 //! *seen* through tracing and metrics; this crate gives the reproduction
 //! stack the same kind of runtime introspection. It is deliberately
 //! dependency-free (the build environment has no registry access): a
-//! process-global metrics registry over `std::sync::atomic`, monotonic
-//! span timers, and a leveled structured-event logger emitting JSONL.
+//! process-global metrics registry over `std::sync::atomic` and a leveled
+//! structured-event logger emitting JSONL.
 //!
 //! ## Shape
 //!
-//! * [`metrics`] — [`Counter`], [`Gauge`], log2-bucketed [`Histogram`]
+//! * Metrics — [`Counter`], [`Gauge`], log2-bucketed [`Histogram`]
 //!   (p50/p90/p99 extraction), and the [`Registry`] that renders them in
 //!   Prometheus text exposition format for `GET /metrics`.
-//! * [`span`] — [`Span`], a monotonic-clock timer that records its
-//!   elapsed microseconds into a histogram on drop.
-//! * [`log`] — leveled structured events ([`event`]) written as one JSONL
+//! * Logging — leveled structured events ([`event`]) written as one JSONL
 //!   record per call, with `key=value` fields.
 //!
 //! ## The overhead contract
@@ -35,31 +33,25 @@
 //! ## Quick use
 //!
 //! ```
-//! use pom_obs::{metrics::Registry, Span};
+//! use pom_obs::Registry;
 //!
 //! let reg = Registry::new(); // or pom_obs::registry() for the global one
 //! let requests = reg.counter("myapp_requests_total", "Requests served.");
 //! let latency = reg.histogram("myapp_request_duration_us", "Request latency.");
 //!
-//! pom_obs::set_enabled(true);
-//! {
-//!     let _span = Span::start(&latency); // records µs into `latency` on drop
-//!     requests.inc();
-//! }
+//! requests.inc();
+//! latency.observe(250); // one request's latency in µs
 //! assert_eq!(requests.get(), 1);
 //! assert_eq!(latency.count(), 1);
 //! let text = reg.render(); // Prometheus text exposition format
 //! assert!(text.contains("# TYPE myapp_requests_total counter"));
-//! # pom_obs::set_enabled(false);
 //! ```
 
-pub mod log;
-pub mod metrics;
-pub mod span;
+mod log;
+mod metrics;
 
-pub use crate::log::{event, render_event, set_log_level, Level};
+pub use crate::log::{event, set_log_level, Level};
 pub use metrics::{registry, Counter, Gauge, Histogram, Registry};
-pub use span::Span;
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -43,7 +43,7 @@ impl Level {
     }
 
     /// The name rendered into the JSON record.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Level::Debug => "debug",
             Level::Info => "info",
@@ -73,7 +73,7 @@ pub fn set_log_level(level: Level) {
 }
 
 /// The current minimum severity.
-pub fn log_level() -> Level {
+pub(crate) fn log_level() -> Level {
     Level::from_u8(LOG_LEVEL.load(Ordering::Relaxed))
 }
 
@@ -98,7 +98,12 @@ pub fn event(level: Level, name: &str, fields: &[(&str, &str)]) {
 
 /// Render an event record (including trailing newline) without emitting
 /// it — the pure core of [`event`], used directly by tests.
-pub fn render_event(ts_us: u64, level: Level, name: &str, fields: &[(&str, &str)]) -> String {
+pub(crate) fn render_event(
+    ts_us: u64,
+    level: Level,
+    name: &str,
+    fields: &[(&str, &str)],
+) -> String {
     let mut s = String::with_capacity(64 + fields.len() * 24);
     s.push_str("{\"ts_us\":");
     s.push_str(&ts_us.to_string());

@@ -29,7 +29,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// in `(2^(i−1), 2^i]` (bucket 0: `[0, 1]`); the last bucket is the
 /// `+Inf` overflow. 2^38 µs ≈ 76 h, far past any latency this stack can
 /// produce.
-pub const N_BUCKETS: usize = 40;
+pub(crate) const N_BUCKETS: usize = 40;
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -39,7 +39,7 @@ pub struct Counter {
 
 impl Counter {
     /// A fresh, unregistered counter (registries hand out shared ones).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -69,7 +69,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// A fresh, unregistered gauge.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -92,7 +92,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.v.load(Ordering::Relaxed)
     }
 }
@@ -120,7 +120,7 @@ impl Default for Histogram {
 /// The bucket index for sample `v`: 0 for `v ≤ 1`, else
 /// `ceil(log2 v)`, capped at the overflow bucket.
 #[inline]
-pub fn bucket_index(v: u64) -> usize {
+pub(crate) fn bucket_index(v: u64) -> usize {
     if v <= 1 {
         0
     } else {
@@ -130,7 +130,7 @@ pub fn bucket_index(v: u64) -> usize {
 
 /// The inclusive upper bound of finite bucket `i` (`2^i`); the last
 /// bucket has no finite bound.
-pub fn bucket_upper(i: usize) -> Option<u64> {
+pub(crate) fn bucket_upper(i: usize) -> Option<u64> {
     (i < N_BUCKETS - 1).then(|| 1u64 << i)
 }
 
@@ -162,12 +162,12 @@ impl Histogram {
     }
 
     /// Sum of all samples.
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
+    pub(crate) fn min(&self) -> Option<u64> {
         (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
     }
 
@@ -375,7 +375,7 @@ impl Registry {
     }
 
     /// Register (or fetch) a gauge with a static label set.
-    pub fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
+    pub(crate) fn gauge_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         match self.register(name, help, labels, Kind::Gauge) {
             Handle::Gauge(g) => g,
             _ => unreachable!(),

@@ -3,7 +3,7 @@
 //! Uses a private `Registry` (not the process-global one) so the exact
 //! output is hermetic under parallel tests.
 
-use pom_obs::metrics::Registry;
+use pom_obs::Registry;
 
 /// Build a registry exercising every render path: counter with labeled
 /// series and escaping, gauge, histogram with unlabeled and labeled

@@ -121,7 +121,7 @@ impl HistoryBuffer {
 
     /// Reserve room for `additional` future knots (one per step), so the
     /// integration loop never reallocates the history storage.
-    pub fn reserve(&mut self, additional: usize) {
+    pub(crate) fn reserve(&mut self, additional: usize) {
         self.times.reserve(additional);
         self.states.reserve(additional * self.dim);
         self.derivs.reserve(additional * self.dim);
@@ -136,7 +136,7 @@ impl HistoryBuffer {
     /// The drain is batched (only fires once ≥ 64 prunable knots have
     /// accumulated), so the amortized per-step cost is O(1) and peak
     /// memory is the window plus a constant.
-    pub fn prune_before(&mut self, t_keep: f64) {
+    pub(crate) fn prune_before(&mut self, t_keep: f64) {
         // First knot strictly after the horizon; knots [0, p) are ≤ t_keep.
         let p = self.times.partition_point(|&tk| tk <= t_keep);
         let drop = p.saturating_sub(1);
@@ -148,7 +148,8 @@ impl HistoryBuffer {
     }
 
     /// Oldest retained knot time (`t0` unless pruned).
-    pub fn t_oldest(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn t_oldest(&self) -> f64 {
         self.times[0]
     }
 
@@ -162,7 +163,7 @@ impl HistoryBuffer {
     }
 
     /// Newest recorded time.
-    pub fn t_latest(&self) -> f64 {
+    pub(crate) fn t_latest(&self) -> f64 {
         *self.times.last().unwrap()
     }
 

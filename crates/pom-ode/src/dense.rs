@@ -33,7 +33,8 @@ pub struct DenseSegment {
 
 impl DenseSegment {
     /// Build a segment from precomputed interpolation coefficients.
-    pub fn new(t0: f64, h: f64, rcont: [Vec<f64>; 5]) -> Self {
+    #[cfg(test)]
+    pub(crate) fn new(t0: f64, h: f64, rcont: [Vec<f64>; 5]) -> Self {
         debug_assert!(rcont.iter().all(|c| c.len() == rcont[0].len()));
         let dim = rcont[0].len();
         let mut flat = Vec::with_capacity(5 * dim);
@@ -49,14 +50,14 @@ impl DenseSegment {
     ///
     /// # Panics
     /// Panics if `rcont.len() != 5 * dim`.
-    pub fn from_flat(t0: f64, h: f64, dim: usize, rcont: Vec<f64>) -> Self {
+    pub(crate) fn from_flat(t0: f64, h: f64, dim: usize, rcont: Vec<f64>) -> Self {
         assert_eq!(rcont.len(), 5 * dim, "need 5 coefficient rows of {dim}");
         debug_assert!(h > 0.0);
         Self { t0, h, dim, rcont }
     }
 
     /// Start of the covered interval.
-    pub fn t0(&self) -> f64 {
+    pub(crate) fn t0(&self) -> f64 {
         self.t0
     }
 
@@ -66,12 +67,14 @@ impl DenseSegment {
     }
 
     /// Step size of the underlying solver step.
-    pub fn h(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn h(&self) -> f64 {
         self.h
     }
 
     /// State dimension.
-    pub fn dim(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
@@ -79,7 +82,7 @@ impl DenseSegment {
     ///
     /// `t` may lie slightly outside `[t0, t1]`; the polynomial extrapolates
     /// smoothly, which the DDE layer exploits for sub-step history lookups.
-    pub fn eval_into(&self, t: f64, out: &mut [f64]) {
+    pub(crate) fn eval_into(&self, t: f64, out: &mut [f64]) {
         let theta = (t - self.t0) / self.h;
         let theta1 = 1.0 - theta;
         let n = self.dim;
@@ -93,14 +96,15 @@ impl DenseSegment {
     }
 
     /// Evaluate the interpolant at `t` into a fresh vector.
-    pub fn eval(&self, t: f64) -> Vec<f64> {
+    #[cfg(test)]
+    pub(crate) fn eval(&self, t: f64) -> Vec<f64> {
         let mut out = vec![0.0; self.dim()];
         self.eval_into(t, &mut out);
         out
     }
 
     /// Evaluate a single component at `t`.
-    pub fn eval_component(&self, t: f64, i: usize) -> f64 {
+    pub(crate) fn eval_component(&self, t: f64, i: usize) -> f64 {
         let theta = (t - self.t0) / self.h;
         let theta1 = 1.0 - theta;
         let n = self.dim;
@@ -111,7 +115,7 @@ impl DenseSegment {
 }
 
 /// A piecewise-polynomial solution assembled from per-step
-/// [`DenseSegment`]s; the output of [`crate::dopri5::Dopri5::integrate`].
+/// `DenseSegment`s; the output of [`crate::dopri5::Dopri5::integrate`].
 #[derive(Debug, Clone)]
 pub struct DenseSolution {
     dim: usize,
@@ -125,7 +129,7 @@ pub struct DenseSolution {
 impl DenseSolution {
     /// Assemble a solution. Segments must be contiguous and ordered; this is
     /// checked in debug builds.
-    pub fn new(
+    pub(crate) fn new(
         dim: usize,
         t0: f64,
         t_end: f64,
@@ -147,23 +151,18 @@ impl DenseSolution {
     }
 
     /// State dimension.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.dim
     }
 
     /// Start of the integration span.
-    pub fn t0(&self) -> f64 {
+    pub(crate) fn t0(&self) -> f64 {
         self.t0
     }
 
     /// End of the integration span.
-    pub fn t_end(&self) -> f64 {
+    pub(crate) fn t_end(&self) -> f64 {
         self.t_end
-    }
-
-    /// Initial state.
-    pub fn y0(&self) -> &[f64] {
-        &self.y0
     }
 
     /// Final state.
@@ -196,7 +195,7 @@ impl DenseSolution {
     }
 
     /// Sample the solution at `t` into a caller-provided buffer.
-    pub fn sample_into(&self, t: f64, out: &mut [f64]) {
+    pub(crate) fn sample_into(&self, t: f64, out: &mut [f64]) {
         let t = t.clamp(self.t0, self.t_end);
         if self.segments.is_empty() {
             out.copy_from_slice(&self.y0);

@@ -88,7 +88,7 @@ pub struct SolverStats {
 /// Adaptive Dormand–Prince 5(4) integrator (builder-style configuration).
 ///
 /// ```
-/// use pom_ode::{FnSystem, dopri5::Dopri5};
+/// use pom_ode::{Dopri5, FnSystem};
 /// let sys = FnSystem::new(2, |_t, y, d| { d[0] = y[1]; d[1] = -y[0]; });
 /// let sol = Dopri5::new().rtol(1e-8).atol(1e-8)
 ///     .integrate(&sys, 0.0, &[1.0, 0.0], std::f64::consts::TAU)
@@ -136,7 +136,8 @@ impl Dopri5 {
     }
 
     /// Fix the initial step size instead of estimating it.
-    pub fn h0(mut self, h0: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn h0(mut self, h0: f64) -> Self {
         self.h0 = Some(h0);
         self
     }
@@ -148,7 +149,8 @@ impl Dopri5 {
     }
 
     /// Step budget before the solver gives up (default 10⁶).
-    pub fn max_steps(mut self, max_steps: usize) -> Self {
+    #[cfg(test)]
+    pub(crate) fn max_steps(mut self, max_steps: usize) -> Self {
         self.max_steps = max_steps;
         self
     }

@@ -58,19 +58,19 @@ impl EnsembleLayout {
     }
 
     /// Total batched dimension `n · r`.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.n * self.r
     }
 
     /// Flat index of component `i` of replica `rep`.
     #[inline]
-    pub fn index(&self, i: usize, rep: usize) -> usize {
+    pub(crate) fn index(&self, i: usize, rep: usize) -> usize {
         debug_assert!(i < self.n && rep < self.r);
         i * self.r + rep
     }
 
     /// Interleave per-replica states (each length `n`) into one batched
-    /// vector of length [`EnsembleLayout::dim`].
+    /// vector of length `EnsembleLayout::dim`.
     pub fn pack(&self, members: &[Vec<f64>]) -> Vec<f64> {
         assert_eq!(members.len(), self.r, "one state per replica");
         let mut out = vec![0.0; self.dim()];
@@ -84,7 +84,7 @@ impl EnsembleLayout {
     }
 
     /// Copy replica `rep` out of a batched vector into `dst` (length `n`).
-    pub fn extract_into(&self, batched: &[f64], rep: usize, dst: &mut [f64]) {
+    pub(crate) fn extract_into(&self, batched: &[f64], rep: usize, dst: &mut [f64]) {
         debug_assert_eq!(batched.len(), self.dim());
         debug_assert_eq!(dst.len(), self.n);
         for (i, d) in dst.iter_mut().enumerate() {
@@ -155,13 +155,9 @@ impl<S: OdeSystem> EnsembleSystem<S> {
 
 impl<S> EnsembleSystem<S> {
     /// The interleaving layout.
-    pub fn layout(&self) -> EnsembleLayout {
+    #[cfg(test)]
+    pub(crate) fn layout(&self) -> EnsembleLayout {
         self.layout
-    }
-
-    /// The wrapped members, in replica order.
-    pub fn members(&self) -> &[S] {
-        &self.members
     }
 }
 

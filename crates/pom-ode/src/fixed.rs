@@ -17,7 +17,7 @@ use crate::OdeSystem;
 /// The method is generic over the system (`S: OdeSystem + ?Sized`), so a
 /// concrete system monomorphizes the stage loop (no virtual dispatch on
 /// the hot path) while `&dyn OdeSystem` still works where type erasure is
-/// convenient. Stage buffers come from the caller's [`ScratchPool`]; a
+/// convenient. Stage buffers come from the caller's `ScratchPool`; a
 /// step performs no heap allocation.
 pub trait Stepper {
     /// Advance the state by one step of size `h`.
@@ -172,11 +172,6 @@ impl<S: Stepper> FixedStepSolver<S> {
             });
         }
         Ok(Self { stepper, h })
-    }
-
-    /// Step size.
-    pub fn h(&self) -> f64 {
-        self.h
     }
 
     /// Integrate from `t0` to `t_end` (the last step is shortened to land

@@ -11,29 +11,29 @@
 //! ## Contents
 //!
 //! * [`OdeSystem`] / [`FnSystem`] — right-hand-side abstraction.
-//! * [`fixed`] — fixed-step steppers: explicit [`fixed::Euler`],
+//! * `fixed` — fixed-step steppers: explicit [`fixed::Euler`],
 //!   [`fixed::Heun`], classical [`fixed::Rk4`], and the driver
 //!   [`fixed::FixedStepSolver`].
-//! * [`dopri5`] — adaptive Dormand–Prince 5(4) with PI step-size control,
+//! * `dopri5` — adaptive Dormand–Prince 5(4) with PI step-size control,
 //!   FSAL optimization and 5-coefficient dense output
 //!   ([`dopri5::Dopri5`]).
-//! * [`dense`] — dense-output segments and the piecewise
+//! * `dense` — dense-output segments and the piecewise
 //!   [`dense::DenseSolution`] they form.
 //! * [`dde`] — delay systems ([`dde::DdeSystem`]), cubic-Hermite history
 //!   buffers and the fixed-step DDE integrator [`dde::DdeRk4`].
-//! * [`trajectory`] — flat-storage sampled trajectories shared by all
+//! * `trajectory` — flat-storage sampled trajectories shared by all
 //!   solvers.
-//! * [`events`] — post-hoc root finding on dense solutions (e.g. "when does
+//! * `events` — post-hoc root finding on dense solutions (e.g. "when does
 //!   the order parameter cross 0.99?").
-//! * [`ensemble`] — lockstep multi-replica batching: the interleaved
+//! * `ensemble` — lockstep multi-replica batching: the interleaved
 //!   `[n × R]` layout ([`EnsembleLayout`]), the gather/scatter reference
 //!   system ([`EnsembleSystem`]) and the per-replica observer fan-out
 //!   ([`EnsembleObserver`]).
-//! * [`observe`] — streaming step observers ([`StepObserver`]), the
+//! * `observe` — streaming step observers ([`StepObserver`]), the
 //!   recording observer [`Record`] and the decimating [`ObserveEvery`]:
 //!   online observables over long-horizon runs with **no** per-step
 //!   trajectory storage, or a stored trajectory when one is wanted.
-//! * [`workspace`] — reusable scratch memory ([`Workspace`]) for the
+//! * `workspace` — reusable scratch memory ([`Workspace`]) for the
 //!   allocation-free step loops.
 //!
 //! ## Performance model
@@ -53,7 +53,7 @@
 //! ## Example
 //!
 //! ```
-//! use pom_ode::{FnSystem, dopri5::Dopri5};
+//! use pom_ode::{Dopri5, FnSystem};
 //!
 //! // ẏ = −y, y(0) = 1  ⇒  y(t) = e^{−t}
 //! let sys = FnSystem::new(1, |_t, y, dydt| dydt[0] = -y[0]);
@@ -65,26 +65,27 @@
 //! ```
 
 pub mod dde;
-pub mod dense;
-pub mod dopri5;
-pub mod ensemble;
-pub mod error;
-pub mod events;
-pub mod fixed;
+mod dense;
+mod dopri5;
+mod ensemble;
+mod error;
+mod events;
+mod fixed;
 pub(crate) mod obs;
-pub mod observe;
-pub mod trajectory;
-pub mod workspace;
+mod observe;
+mod trajectory;
+mod workspace;
 
 pub use dde::{DdeRk4, DdeSystem, PhaseHistory};
-pub use dense::{DenseSegment, DenseSolution};
-pub use dopri5::{Dopri5, SolverStats};
+pub use dense::DenseSolution;
+pub use dopri5::Dopri5;
 pub use ensemble::{EnsembleLayout, EnsembleObserver, EnsembleSystem};
 pub use error::OdeError;
+pub use events::first_zero_crossing;
 pub use fixed::{Euler, FixedStepSolver, Heun, Rk4, Stepper};
-pub use observe::{Accuracy, NoObserver, ObserveEvery, ObservedSummary, Record, StepObserver};
+pub use observe::{Accuracy, CollectObserver, NoObserver, ObserveEvery, Record, StepObserver};
 pub use trajectory::Trajectory;
-pub use workspace::{ScratchPool, Workspace};
+pub use workspace::Workspace;
 
 /// Right-hand side of a first-order ODE system `ẏ = f(t, y)`.
 ///

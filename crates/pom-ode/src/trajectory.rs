@@ -32,7 +32,7 @@ impl Trajectory {
     }
 
     /// Create an empty trajectory and reserve room for `n` samples.
-    pub fn with_capacity(dim: usize, n: usize) -> Self {
+    pub(crate) fn with_capacity(dim: usize, n: usize) -> Self {
         Self {
             dim,
             times: Vec::with_capacity(n),
@@ -74,7 +74,8 @@ impl Trajectory {
     }
 
     /// First stored state, if any.
-    pub fn first(&self) -> Option<&[f64]> {
+    #[cfg(test)]
+    pub(crate) fn first(&self) -> Option<&[f64]> {
         (!self.is_empty()).then(|| self.state(0))
     }
 
@@ -168,7 +169,8 @@ impl Trajectory {
 
     /// Index of the last sample with time ≤ `t`, or `None` if `t` precedes
     /// the first sample.
-    pub fn index_at(&self, t: f64) -> Option<usize> {
+    #[cfg(test)]
+    pub(crate) fn index_at(&self, t: f64) -> Option<usize> {
         let p = self.times.partition_point(|&tk| tk <= t);
         p.checked_sub(1)
     }

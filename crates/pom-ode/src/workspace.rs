@@ -57,7 +57,8 @@ pub struct ScratchPool {
 
 impl ScratchPool {
     /// An empty pool; backing memory is acquired on first use.
-    pub fn new() -> Self {
+    #[cfg(test)]
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -78,7 +79,8 @@ impl ScratchPool {
     }
 
     /// Current backing capacity in `f64` elements (high-water mark).
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.buf.len()
     }
 }
@@ -109,7 +111,8 @@ impl Workspace {
     }
 
     /// Total backing capacity in `f64` elements.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.stage.capacity() + self.drive.capacity()
     }
 }

@@ -10,7 +10,7 @@
 //! gather/scatter). These tests pin that argument with real arithmetic.
 
 use pom_ode::dde::{DdeRk4, DdeSystem, InitialHistory, PhaseHistory};
-use pom_ode::observe::CollectObserver;
+use pom_ode::CollectObserver;
 use pom_ode::{
     EnsembleLayout, EnsembleObserver, EnsembleSystem, Euler, FixedStepSolver, FnSystem, Heun, Rk4,
     Workspace,

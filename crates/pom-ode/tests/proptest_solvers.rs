@@ -1,7 +1,7 @@
 //! Property-based tests for the solver suite.
 
 use pom_ode::dde::{DdeRk4, DdeSystem, InitialHistory, PhaseHistory};
-use pom_ode::observe::CollectObserver;
+use pom_ode::CollectObserver;
 use pom_ode::{
     Dopri5, Euler, FixedStepSolver, FnSystem, Heun, ObserveEvery, Record, Rk4, Trajectory,
     Workspace,

@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use pom_obs::Level;
 use pom_sweep::registry::{defs, toolkit, Parsed, RouteSpec};
-use pom_sweep::value::write_json_str;
+use pom_sweep::write_json_str;
 
 use crate::http::{self, Request, RequestError};
 use crate::job::{JobManager, JobOpError, Priority, StopMode, SubmitError, SubmitOptions};
@@ -59,7 +59,7 @@ const FOLLOW_WAIT: Duration = Duration::from_millis(100);
 
 /// Everything a connection handler needs, cloned per accepted socket.
 #[derive(Clone)]
-pub struct ConnCtx {
+pub(crate) struct ConnCtx {
     /// The shared job manager.
     pub manager: Arc<JobManager>,
     /// Set by `POST /shutdown` / signals; streams exit on it.
@@ -71,7 +71,7 @@ pub struct ConnCtx {
 }
 
 /// Render `{"error": msg}`.
-pub fn error_json(msg: &str) -> String {
+pub(crate) fn error_json(msg: &str) -> String {
     let mut out = String::with_capacity(msg.len() + 12);
     out.push_str("{\"error\":");
     write_json_str(msg, &mut out);
@@ -90,7 +90,7 @@ fn is_timeout(e: &io::Error) -> bool {
 /// Transport errors are swallowed — the client is gone either way —
 /// except read-deadline expiry, which answers `408` (best effort) so a
 /// slowloris client at least learns why it was dropped.
-pub fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
+pub(crate) fn handle_connection(mut stream: TcpStream, ctx: &ConnCtx) {
     let started = Instant::now();
     // The accepted socket can inherit the listener's non-blocking mode.
     if stream.set_nonblocking(false).is_err() {

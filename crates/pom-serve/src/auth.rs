@@ -6,7 +6,7 @@
 //! `X-Pom-Token: <token>`, answered with 401 otherwise), and each token's
 //! quotas bound how much of the daemon it can hold at once — rejected
 //! submits answer 429 naming the offending bound. The token file is the
-//! same TOML subset every other surface uses ([`pom_sweep::value`]):
+//! same TOML subset every other surface uses ([`pom_sweep::parse_toml`]):
 //!
 //! ```toml
 //! [tokens.alice]
@@ -24,11 +24,11 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use pom_sweep::value::{parse_toml, Value};
+use pom_sweep::{parse_toml, Value};
 
 /// Bounds for one token. Zero means unlimited.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TokenQuota {
+pub(crate) struct TokenQuota {
     /// Running jobs this token may hold at once.
     pub max_active_jobs: usize,
     /// Grid points summed across this token's running jobs (including
@@ -92,7 +92,7 @@ impl TokenBook {
     }
 
     /// The quota for a token, `None` when the token is unknown.
-    pub fn get(&self, token: &str) -> Option<TokenQuota> {
+    pub(crate) fn get(&self, token: &str) -> Option<TokenQuota> {
         self.tokens.get(token).copied()
     }
 

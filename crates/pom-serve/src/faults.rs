@@ -128,7 +128,7 @@ impl FaultPlan {
 
     /// The fault scheduled for global IO op `op`, if any. Pure function
     /// of `(plan, op)` — this is what makes a chaos run replayable.
-    pub fn at(&self, op: u64) -> Option<FaultClass> {
+    pub(crate) fn at(&self, op: u64) -> Option<FaultClass> {
         let r = mix(self.seed ^ mix(op));
         if !r.is_multiple_of(self.period.max(1)) {
             return None;
@@ -177,7 +177,8 @@ impl Faults {
     }
 
     /// True when a plan is armed.
-    pub fn enabled(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn enabled(&self) -> bool {
         self.state.is_some()
     }
 
@@ -198,7 +199,8 @@ impl Faults {
 
     /// Crash-class faults injected so far (bounded by the plan's
     /// `max_kills`).
-    pub fn injected_kills(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn injected_kills(&self) -> u64 {
         self.state
             .as_ref()
             .map_or(0, |s| s.kills_done.load(Ordering::SeqCst))
@@ -238,7 +240,7 @@ impl Faults {
     }
 
     /// Wrap a results-file handle so the plan can tear its writes.
-    pub fn wrap(&self, file: fs::File) -> SpoolFile {
+    pub(crate) fn wrap(&self, file: fs::File) -> SpoolFile {
         SpoolFile {
             file,
             faults: self.clone(),
@@ -249,7 +251,7 @@ impl Faults {
     /// are absorbed by the loop (they are legal), and would-block storms
     /// are retried with a bound — exactly the tolerance the recovery
     /// path promises.
-    pub fn read_to_string(&self, path: &Path) -> io::Result<String> {
+    pub(crate) fn read_to_string(&self, path: &Path) -> io::Result<String> {
         let mut f = fs::File::open(path)?;
         if self.state.is_none() {
             let mut s = String::new();
@@ -287,7 +289,7 @@ fn injected(what: &str) -> io::Error {
 /// A results-file handle routed through the fault layer. With faults
 /// disabled this is a transparent passthrough to the inner [`fs::File`].
 #[derive(Debug)]
-pub struct SpoolFile {
+pub(crate) struct SpoolFile {
     file: fs::File,
     faults: Faults,
 }

@@ -42,7 +42,7 @@ pub struct Request {
 
 impl Request {
     /// First header with the given (lower-case) name.
-    pub fn header(&self, name: &str) -> Option<&str> {
+    pub(crate) fn header(&self, name: &str) -> Option<&str> {
         self.headers
             .iter()
             .find(|(n, _)| n == name)
@@ -90,7 +90,13 @@ fn read_crlf_line(r: &mut impl BufRead) -> Result<String, RequestError> {
         return Err(RequestError::Closed);
     }
     if !line.ends_with(b"\n") {
-        return Err(RequestError::Bad(431, "header line too long".into()));
+        // A full `MAX_LINE` without a newline is too long; anything shorter
+        // stopped at end of input, so the request was cut off.
+        return Err(if n == MAX_LINE {
+            RequestError::Bad(431, "header line too long".into())
+        } else {
+            RequestError::Bad(400, "request truncated before end of line".into())
+        });
     }
     while line.ends_with(b"\n") || line.ends_with(b"\r") {
         line.pop();
@@ -175,7 +181,7 @@ pub fn read_request<R: Read>(stream: R) -> Result<Request, RequestError> {
 }
 
 /// The standard reason phrase for the statuses this API uses.
-pub fn reason(status: u16) -> &'static str {
+pub(crate) fn reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -198,7 +204,7 @@ pub fn reason(status: u16) -> &'static str {
 /// Write a complete (non-chunked) response and flush. `started` is when
 /// the request began; every response carries the server-side handling
 /// time as an `X-Pom-Elapsed-Us` header.
-pub fn respond(
+pub(crate) fn respond(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -209,7 +215,7 @@ pub fn respond(
 }
 
 /// [`respond`] with additional headers (e.g. `Retry-After` on a 503).
-pub fn respond_extra(
+pub(crate) fn respond_extra(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -235,7 +241,11 @@ pub fn respond_extra(
 /// The admission-control rejection: written on the *accept* thread,
 /// before any request bytes are read or a handler thread is spawned —
 /// an over-limit client must not cost the daemon more than this write.
-pub fn respond_busy(stream: &mut TcpStream, retry_after_secs: u32, msg: &str) -> io::Result<()> {
+pub(crate) fn respond_busy(
+    stream: &mut TcpStream,
+    retry_after_secs: u32,
+    msg: &str,
+) -> io::Result<()> {
     let body = crate::api::error_json(msg);
     write!(
         stream,
@@ -248,7 +258,7 @@ pub fn respond_busy(stream: &mut TcpStream, retry_after_secs: u32, msg: &str) ->
 }
 
 /// Write a JSON response.
-pub fn respond_json(
+pub(crate) fn respond_json(
     stream: &mut TcpStream,
     status: u16,
     body: &str,
@@ -259,7 +269,7 @@ pub fn respond_json(
 
 /// Begin a chunked response (the row streams). The elapsed header covers
 /// time-to-first-byte — headers go out before the stream body.
-pub fn begin_chunked(
+pub(crate) fn begin_chunked(
     stream: &mut TcpStream,
     status: u16,
     content_type: &str,
@@ -275,7 +285,7 @@ pub fn begin_chunked(
 
 /// Write one chunk (skips empty input: an empty chunk terminates the
 /// stream in the chunked encoding).
-pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
+pub(crate) fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
     if data.is_empty() {
         return Ok(());
     }
@@ -286,7 +296,7 @@ pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> io::Result<()> {
 }
 
 /// Terminate a chunked response.
-pub fn end_chunked(stream: &mut TcpStream) -> io::Result<()> {
+pub(crate) fn end_chunked(stream: &mut TcpStream) -> io::Result<()> {
     stream.write_all(b"0\r\n\r\n")?;
     stream.flush()
 }

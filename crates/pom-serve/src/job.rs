@@ -54,11 +54,11 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use pom_core::SimWorkspace;
 use pom_obs::Level;
-use pom_sweep::value::{parse_json, write_json_str, Value};
 use pom_sweep::{
     execute_point, reopen_for_append, scan_completed_at, CampaignSpec, JsonlSink, PointQueue,
     PointRow, ResultSink,
 };
+use pom_sweep::{parse_json, write_json_str, Value};
 
 use crate::auth::TokenBook;
 use crate::faults::{Faults, SpoolFile};
@@ -85,7 +85,7 @@ pub enum JobState {
 
 impl JobState {
     /// Lower-case wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             JobState::Running => "running",
             JobState::Done => "done",
@@ -110,7 +110,7 @@ pub enum Priority {
 
 impl Priority {
     /// Lower-case wire name.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Priority::High => "high",
             Priority::Normal => "normal",
@@ -119,7 +119,7 @@ impl Priority {
     }
 
     /// Parse the wire name.
-    pub fn from_name(name: &str) -> Option<Priority> {
+    pub(crate) fn from_name(name: &str) -> Option<Priority> {
         match name {
             "high" => Some(Priority::High),
             "normal" => Some(Priority::Normal),
@@ -169,7 +169,7 @@ pub struct JobStatus {
 
 impl JobStatus {
     /// Render as a JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::with_capacity(160);
         out.push_str("{\"job\":");
         write_json_str(&self.id, &mut out);
@@ -208,7 +208,7 @@ fn write_num(out: &mut String, key: &str, v: usize) -> std::fmt::Result {
 /// Submit-time extras carried outside the spec (query parameters on
 /// `POST /jobs`), so they never perturb the spec hash.
 #[derive(Debug, Clone, Default)]
-pub struct SubmitOptions {
+pub(crate) struct SubmitOptions {
     /// The authenticated client token (recorded even without an auth
     /// book, for attribution).
     pub token: Option<String>,
@@ -277,7 +277,7 @@ impl std::error::Error for SubmitError {}
 
 /// Why a cancel/resume request was rejected.
 #[derive(Debug)]
-pub enum JobOpError {
+pub(crate) enum JobOpError {
     /// No such job (HTTP 404).
     NotFound,
     /// The operation does not apply in the job's current state (HTTP 409).
@@ -573,7 +573,7 @@ impl JobManager {
     /// format). Persists the job and enqueues its points. Auth and
     /// quotas are checked before the global queue bound, so an
     /// unauthorized client learns nothing about queue state.
-    pub fn submit_with(
+    pub(crate) fn submit_with(
         &self,
         spec_text: &str,
         opts: SubmitOptions,
@@ -738,7 +738,7 @@ impl JobManager {
     /// /jobs/{id}/stats`). Counts cover points executed *this session*
     /// with instrumentation on — rows recovered from the spool carry no
     /// timing. `None` for unknown jobs.
-    pub fn job_stats(&self, id: &str) -> Option<String> {
+    pub(crate) fn job_stats(&self, id: &str) -> Option<String> {
         use std::fmt::Write as _;
         let st = self.lock();
         let e = st.jobs.get(id)?;
@@ -757,7 +757,7 @@ impl JobManager {
     }
 
     /// Status of every known job, ascending by id sequence.
-    pub fn list(&self) -> Vec<JobStatus> {
+    pub(crate) fn list(&self) -> Vec<JobStatus> {
         let st = self.lock();
         let mut out: Vec<JobStatus> = st.jobs.iter().map(|(id, e)| e.status(id)).collect();
         out.sort_by_key(|s| spool::parse_job_id(&s.id).unwrap_or(u64::MAX));
@@ -767,7 +767,7 @@ impl JobManager {
     /// Cancel a job: stop dispatching its points. In-flight points finish
     /// and their rows still land if contiguous; the partial file stays a
     /// valid resume target, marked by the `cancelled` spool file.
-    pub fn cancel(&self, id: &str) -> Result<JobStatus, JobOpError> {
+    pub(crate) fn cancel(&self, id: &str) -> Result<JobStatus, JobOpError> {
         let mut st = self.lock();
         let entry = st.jobs.get_mut(id).ok_or(JobOpError::NotFound)?;
         if entry.state == JobState::Running {
@@ -800,7 +800,7 @@ impl JobManager {
     /// time) simply re-run — deterministically, so the final file is
     /// unaffected. A spent deadline is cleared (it already elapsed);
     /// priority and token are kept. No-op on running/done jobs.
-    pub fn resume(&self, id: &str) -> Result<JobStatus, JobOpError> {
+    pub(crate) fn resume(&self, id: &str) -> Result<JobStatus, JobOpError> {
         let mut st = self.lock();
         let entry = st.jobs.get_mut(id).ok_or(JobOpError::NotFound)?;
         match entry.state {
@@ -872,7 +872,7 @@ impl JobManager {
     }
 
     /// Path of a job's JSONL result stream.
-    pub fn results_path(&self, id: &str) -> Option<PathBuf> {
+    pub(crate) fn results_path(&self, id: &str) -> Option<PathBuf> {
         let st = self.lock();
         st.jobs.get(id).map(|e| e.dir.join(spool::RESULTS_FILE))
     }
@@ -880,7 +880,7 @@ impl JobManager {
     /// True when no further bytes can appear in the job's result stream
     /// (terminal state and no in-flight points). Follow-mode streams use
     /// this as their stop condition. `None` if the job is unknown.
-    pub fn quiescent(&self, id: &str) -> Option<bool> {
+    pub(crate) fn quiescent(&self, id: &str) -> Option<bool> {
         let st = self.lock();
         st.jobs
             .get(id)
@@ -917,7 +917,7 @@ impl JobManager {
     /// changes) or the timeout expires. Row streams in follow mode park
     /// here instead of sleeping, so new rows are pushed with condvar
     /// latency rather than a poll interval.
-    pub fn wait_progress(&self, timeout: Duration) {
+    pub(crate) fn wait_progress(&self, timeout: Duration) {
         let st = self.lock();
         let _ = self.progress.wait_timeout(st, timeout);
     }
@@ -927,7 +927,7 @@ impl JobManager {
     /// (crash semantics, used by the restart-resume tests). Waking the
     /// progress condvar here is what lets follow streams close
     /// deterministically with their chunked terminator on shutdown.
-    pub fn request_stop(&self, mode: StopMode) {
+    pub(crate) fn request_stop(&self, mode: StopMode) {
         let mut st = self.lock();
         st.stop = Some(mode);
         drop(st);
@@ -937,7 +937,7 @@ impl JobManager {
 
     /// Aggregate counts for the shutdown report: `(jobs, done, running,
     /// cancelled, failed, rows_written)`.
-    pub fn totals(&self) -> (usize, usize, usize, usize, usize, usize) {
+    pub(crate) fn totals(&self) -> (usize, usize, usize, usize, usize, usize) {
         let st = self.lock();
         let mut done = 0;
         let mut running = 0;
@@ -1038,13 +1038,6 @@ impl JobManager {
             );
         }
         !overdue.is_empty()
-    }
-
-    /// One retain-policy sweep (public entry over the locked internal
-    /// sweep that also runs at startup and after each completion).
-    pub fn gc(&self) {
-        let mut st = self.lock();
-        self.gc_locked(&mut st);
     }
 
     /// Apply the retain policy: age-evict any quiescent terminal job
@@ -1191,7 +1184,7 @@ impl JobManager {
     /// current point's row is discarded, like a kill). While any running
     /// job has an armed deadline, idle waits are bounded so expiry is
     /// noticed without traffic.
-    pub fn worker_loop(&self) {
+    pub(crate) fn worker_loop(&self) {
         let mut ws = SimWorkspace::new();
         loop {
             let task: Option<Task> = {

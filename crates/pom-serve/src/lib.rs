@@ -12,19 +12,19 @@
 //!
 //! * [`http`] — hand-rolled HTTP/1.1 (no registry access ⇒ no async
 //!   stack), thread per connection, chunked row streams.
-//! * [`job`] — the multi-tenant [`job::JobManager`]: bounded submission
+//! * `job` — the multi-tenant [`job::JobManager`]: bounded submission
 //!   (HTTP 429 backpressure), fair round-robin point scheduling across
 //!   concurrent campaigns, in-order durable row emission.
-//! * [`spool`] — on-disk layout; each job's `results.jsonl` doubles as
+//! * `spool` — on-disk layout; each job's `results.jsonl` doubles as
 //!   its crash checkpoint (identical to `pom sweep resume=1` files).
-//! * [`api`] — route dispatch; query strings are validated against the
+//! * `api` — route dispatch; query strings are validated against the
 //!   command registry's [`pom_sweep::registry::RouteSpec`] tables (same
 //!   wording as CLI errors) and `GET /schema` serves the registry as
 //!   JSON — byte-identical to `pom help format=json`.
-//! * [`auth`] — per-token submission quotas (`auth=tokens.toml`).
-//! * [`faults`] — deterministic fault injection for the chaos suite
+//! * `auth` — per-token submission quotas (`auth=tokens.toml`).
+//! * `faults` — deterministic fault injection for the chaos suite
 //!   (disabled and zero-cost in production).
-//! * [`signal`] — SIGTERM/SIGINT → graceful drain.
+//! * `signal` — SIGTERM/SIGINT → graceful drain.
 //!
 //! ## Hardening
 //!
@@ -53,20 +53,18 @@
 //! # std::io::Result::Ok(())
 //! ```
 
-pub mod api;
-pub mod auth;
-pub mod faults;
+mod api;
+mod auth;
+mod faults;
 pub mod http;
-pub mod job;
+mod job;
 pub(crate) mod metrics;
-pub mod signal;
-pub mod spool;
+mod signal;
+mod spool;
 
-pub use auth::{TokenBook, TokenQuota};
+pub use auth::TokenBook;
 pub use faults::{FaultClass, FaultPlan, Faults, FAULT_CLASSES};
-pub use job::{
-    JobManager, JobOpError, JobState, JobStatus, Priority, StopMode, SubmitError, SubmitOptions,
-};
+pub use job::{JobManager, JobState, StopMode};
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -302,7 +300,7 @@ impl Server {
     }
 
     /// True once `POST /shutdown` or a termination signal has been seen.
-    pub fn stop_requested(&self) -> bool {
+    pub(crate) fn stop_requested(&self) -> bool {
         self.stop_flag.load(Ordering::SeqCst)
             || (self.handle_signals && signal::termination_requested())
     }

@@ -52,11 +52,11 @@ mod imp {
 }
 
 /// Install the SIGTERM/SIGINT handler (idempotent).
-pub fn install() {
+pub(crate) fn install() {
     imp::install();
 }
 
 /// True once a termination signal has been received.
-pub fn termination_requested() -> bool {
+pub(crate) fn termination_requested() -> bool {
     TERMINATION.load(Ordering::SeqCst)
 }

@@ -37,37 +37,37 @@ use std::path::{Path, PathBuf};
 use crate::faults::Faults;
 
 /// Name of the raw spec file inside a job directory.
-pub const SPEC_FILE: &str = "spec";
+pub(crate) const SPEC_FILE: &str = "spec";
 /// Name of the JSONL result stream inside a job directory.
-pub const RESULTS_FILE: &str = "results.jsonl";
+pub(crate) const RESULTS_FILE: &str = "results.jsonl";
 /// Name of the cancelled marker inside a job directory. Empty for a
 /// plain client cancel (back-compat), otherwise a JSON object with a
 /// structured `reason` (e.g. a deadline expiry).
-pub const CANCELLED_MARKER: &str = "cancelled";
+pub(crate) const CANCELLED_MARKER: &str = "cancelled";
 /// Name of the optional JSON meta file inside a job directory
 /// (priority / deadline / token; absent for all-default submissions).
-pub const META_FILE: &str = "meta";
+pub(crate) const META_FILE: &str = "meta";
 /// Root-level file pinning the highest job sequence ever issued.
-pub const SEQ_FILE: &str = "seq";
+pub(crate) const SEQ_FILE: &str = "seq";
 
 /// A job's directory under the spool root.
-pub fn job_dir(spool: &Path, id: &str) -> PathBuf {
+pub(crate) fn job_dir(spool: &Path, id: &str) -> PathBuf {
     spool.join(id)
 }
 
 /// The job id for a sequence number (`7` → `"j7"`).
-pub fn job_id(seq: u64) -> String {
+pub(crate) fn job_id(seq: u64) -> String {
     format!("j{seq}")
 }
 
 /// Parse a job id back to its sequence number (`"j7"` → `7`).
-pub fn parse_job_id(id: &str) -> Option<u64> {
+pub(crate) fn parse_job_id(id: &str) -> Option<u64> {
     id.strip_prefix('j')?.parse().ok()
 }
 
 /// Enumerate job ids present in the spool, ascending by sequence number.
 /// Non-job entries (anything not named `j<seq>`) are ignored.
-pub fn scan_job_ids(spool: &Path) -> io::Result<Vec<String>> {
+pub(crate) fn scan_job_ids(spool: &Path) -> io::Result<Vec<String>> {
     let mut seqs: Vec<u64> = Vec::new();
     for entry in fs::read_dir(spool)? {
         let entry = entry?;
@@ -85,7 +85,7 @@ pub fn scan_job_ids(spool: &Path) -> io::Result<Vec<String>> {
 /// The next unused sequence number in the spool: past the highest job
 /// directory present *and* past the persisted high-water mark, so ids
 /// are never reissued after GC removed the newest directories.
-pub fn next_seq(spool: &Path) -> io::Result<u64> {
+pub(crate) fn next_seq(spool: &Path) -> io::Result<u64> {
     let max = scan_job_ids(spool)?
         .iter()
         .filter_map(|id| parse_job_id(id))
@@ -95,7 +95,7 @@ pub fn next_seq(spool: &Path) -> io::Result<u64> {
 }
 
 /// The persisted id high-water mark (0 when absent/garbled).
-pub fn seq_floor(spool: &Path) -> u64 {
+pub(crate) fn seq_floor(spool: &Path) -> u64 {
     fs::read_to_string(spool.join(SEQ_FILE))
         .ok()
         .and_then(|s| s.trim().parse().ok())
@@ -104,12 +104,12 @@ pub fn seq_floor(spool: &Path) -> u64 {
 
 /// Persist the id high-water mark (best effort — a lost update only
 /// weakens the no-reuse guarantee as far as the directories on disk).
-pub fn store_seq_floor(spool: &Path, seq: u64) {
+pub(crate) fn store_seq_floor(spool: &Path, seq: u64) {
     let _ = fs::write(spool.join(SEQ_FILE), format!("{seq}\n"));
 }
 
 /// Read one job file through the fault layer. `Ok(None)` when absent.
-pub fn read_job_file(dir: &Path, name: &str, faults: &Faults) -> io::Result<Option<String>> {
+pub(crate) fn read_job_file(dir: &Path, name: &str, faults: &Faults) -> io::Result<Option<String>> {
     let path = dir.join(name);
     if !path.exists() {
         return Ok(None);
@@ -120,7 +120,7 @@ pub fn read_job_file(dir: &Path, name: &str, faults: &Faults) -> io::Result<Opti
 /// Remove a job directory (spool GC). Errors are returned so the caller
 /// can decide whether a half-removed directory matters; the scan simply
 /// re-skips whatever survives.
-pub fn remove_job_dir(spool: &Path, id: &str) -> io::Result<()> {
+pub(crate) fn remove_job_dir(spool: &Path, id: &str) -> io::Result<()> {
     fs::remove_dir_all(job_dir(spool, id))
 }
 

@@ -1,5 +1,5 @@
 //! Property tests for the hand-rolled parsers that read daemon input:
-//! the HTTP request parser, the spec parsers of `pom_sweep::value` (job
+//! the HTTP request parser, the spec parsers `pom_sweep::parse_*` (job
 //! bodies), the `tokens.toml` parser behind `auth=`, and
 //! `scan_completed_at`, which reads a result file back on resume.
 //! Arbitrary bytes and mutated copies of the example specs and of a
@@ -14,7 +14,7 @@ use std::sync::OnceLock;
 
 use pom_serve::http::{read_request, Request, RequestError, MAX_BODY, MAX_HEADERS, MAX_LINE};
 use pom_serve::TokenBook;
-use pom_sweep::value::{parse_auto, parse_json, parse_toml, Value};
+use pom_sweep::{parse_auto, parse_json, parse_toml, Value};
 use pom_sweep::{scan_completed_at, Campaign};
 use proptest::prelude::*;
 
@@ -344,6 +344,9 @@ fn line_longer_than_max_line_is_431() {
         status(format!("GET / HTTP/1.1\r\nX-Long: {long}\r\n\r\n").as_bytes()),
         431
     );
+    // A shorter line cut off by end of input is a truncated request.
+    assert_eq!(status(b"GET / HTTP/1.1\r\nHost: x"), 400);
+    assert_eq!(status(b"GET / HTTP/1.1"), 400);
     // A line of exactly MAX_LINE bytes, newline included, is accepted.
     let fits = "a".repeat(MAX_LINE - "GET / HTTP/1.1\r\n".len());
     assert!(read_request(format!("GET /{fits} HTTP/1.1\r\n\r\n").as_bytes()).is_ok());

@@ -153,7 +153,7 @@ impl PointQueue {
 
     /// Stop handing out points: the unclaimed tail is dropped, while
     /// points in flight still complete and release.
-    pub fn close(&mut self) {
+    pub(crate) fn close(&mut self) {
         self.pending.truncate(self.claimed);
     }
 }
@@ -216,7 +216,7 @@ impl RunOptions {
     }
 
     /// The resolved worker count.
-    pub fn effective_threads(&self) -> usize {
+    pub(crate) fn effective_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {

@@ -21,7 +21,7 @@
 //! 4. **Streaming results** ([`JsonlSink`], [`CsvSink`]): rows appear as
 //!    they complete, each self-describing (point index, derived seed,
 //!    axis assignments, observables).
-//! 5. **Resume** ([`scan_completed`]): the JSONL header carries a content
+//! 5. **Resume** (`scan_completed`): the JSONL header carries a content
 //!    hash of the spec; an interrupted campaign restarts with only the
 //!    missing points, and a spec edit is detected instead of silently
 //!    mixing incompatible rows.
@@ -73,27 +73,27 @@
 //! }
 //! ```
 
-pub mod args;
-pub mod exec;
+mod args;
+mod exec;
 pub mod registry;
-pub mod run;
-pub mod sink;
+mod run;
+mod sink;
 pub mod spec;
-pub mod value;
+mod value;
 
 pub use args::ArgError;
 pub use exec::{
     execute_point, reopen_for_append, run_campaign, run_campaign_with, PointQueue, RunOptions,
     POINT_DURATION_METRIC,
 };
-pub use registry::{ArgKind, ArgSpec, CommandSpec, Parsed, Registry, RouteSpec, SectionSpec};
+pub use registry::{ArgKind, ArgSpec, CommandSpec, Parsed, Registry, RouteSpec};
 pub use run::{run_point, run_point_ws, PointRow};
 pub use sink::{
-    header_json, scan_completed, scan_completed_at, write_row_line, CampaignSummary, CsvSink,
-    JsonlSink, MemorySink, ResultSink, ScanOutcome, TeeSink,
+    header_json, scan_completed_at, write_row_line, CampaignSummary, CsvSink, JsonlSink,
+    MemorySink, ResultSink, TeeSink,
 };
 pub use spec::{Axis, CampaignSpec, Observable, Scenario, SweepError};
-pub use value::{parse_auto, parse_json, parse_toml, Value};
+pub use value::{parse_auto, parse_json, parse_toml, write_json_str, Value};
 
 use std::collections::HashSet;
 use std::fs;
@@ -194,7 +194,7 @@ impl Campaign {
     /// The indices a resume of `path` would still need to execute.
     pub fn missing_points(&self, path: impl AsRef<Path>) -> Result<Vec<usize>, SweepError> {
         let done: HashSet<usize> = if path.as_ref().exists() {
-            scan_completed(&fs::read_to_string(path.as_ref())?, &self.spec)
+            sink::scan_completed(&fs::read_to_string(path.as_ref())?, &self.spec)
                 .map_err(SweepError::Spec)?
         } else {
             HashSet::new()

@@ -402,7 +402,7 @@ pub const ROUTE_STATS: RouteSpec = RouteSpec {
 };
 
 /// Informational routes (no validated query surface).
-pub const ROUTE_HEALTHZ: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_HEALTHZ: RouteSpec = RouteSpec {
     method: "GET",
     path: "/healthz",
     summary: "liveness probe",
@@ -410,7 +410,7 @@ pub const ROUTE_HEALTHZ: RouteSpec = RouteSpec {
 };
 
 /// `GET /metrics`.
-pub const ROUTE_METRICS: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_METRICS: RouteSpec = RouteSpec {
     method: "GET",
     path: "/metrics",
     summary: "Prometheus text exposition of the global registry",
@@ -418,7 +418,7 @@ pub const ROUTE_METRICS: RouteSpec = RouteSpec {
 };
 
 /// `GET /schema`.
-pub const ROUTE_SCHEMA: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_SCHEMA: RouteSpec = RouteSpec {
     method: "GET",
     path: "/schema",
     summary: "this registry as JSON (commands, routes, spec sections)",
@@ -426,7 +426,7 @@ pub const ROUTE_SCHEMA: RouteSpec = RouteSpec {
 };
 
 /// `GET /jobs`.
-pub const ROUTE_LIST: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_LIST: RouteSpec = RouteSpec {
     method: "GET",
     path: "/jobs",
     summary: "status of every job",
@@ -434,7 +434,7 @@ pub const ROUTE_LIST: RouteSpec = RouteSpec {
 };
 
 /// `GET /jobs/{id}`.
-pub const ROUTE_STATUS: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_STATUS: RouteSpec = RouteSpec {
     method: "GET",
     path: "/jobs/{id}",
     summary: "status of one job",
@@ -442,7 +442,7 @@ pub const ROUTE_STATUS: RouteSpec = RouteSpec {
 };
 
 /// `POST /jobs/{id}/cancel`.
-pub const ROUTE_CANCEL: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_CANCEL: RouteSpec = RouteSpec {
     method: "POST",
     path: "/jobs/{id}/cancel",
     summary: "stop scheduling the job, keep partial results",
@@ -450,7 +450,7 @@ pub const ROUTE_CANCEL: RouteSpec = RouteSpec {
 };
 
 /// `POST /jobs/{id}/resume`.
-pub const ROUTE_RESUME: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_RESUME: RouteSpec = RouteSpec {
     method: "POST",
     path: "/jobs/{id}/resume",
     summary: "re-queue a cancelled job's missing points",
@@ -458,7 +458,7 @@ pub const ROUTE_RESUME: RouteSpec = RouteSpec {
 };
 
 /// `POST /shutdown`.
-pub const ROUTE_SHUTDOWN: RouteSpec = RouteSpec {
+pub(crate) const ROUTE_SHUTDOWN: RouteSpec = RouteSpec {
     method: "POST",
     path: "/shutdown",
     summary: "graceful daemon stop (drain in-flight, flush)",
@@ -466,7 +466,7 @@ pub const ROUTE_SHUTDOWN: RouteSpec = RouteSpec {
 };
 
 /// `[campaign]` (both workloads).
-pub const SEC_CAMPAIGN: SectionSpec = SectionSpec {
+pub(crate) const SEC_CAMPAIGN: SectionSpec = SectionSpec {
     name: "campaign",
     workload: "both",
     keys: &[
@@ -495,7 +495,7 @@ pub const SEC_CAMPAIGN: SectionSpec = SectionSpec {
 };
 
 /// `[model]`.
-pub const SEC_MODEL: SectionSpec = SectionSpec {
+pub(crate) const SEC_MODEL: SectionSpec = SectionSpec {
     name: "model",
     workload: "model",
     keys: &[
@@ -532,7 +532,7 @@ pub const SEC_MODEL: SectionSpec = SectionSpec {
 };
 
 /// `[topology]`.
-pub const SEC_TOPOLOGY: SectionSpec = SectionSpec {
+pub(crate) const SEC_TOPOLOGY: SectionSpec = SectionSpec {
     name: "topology",
     workload: "model",
     keys: &[
@@ -552,7 +552,7 @@ pub const SEC_TOPOLOGY: SectionSpec = SectionSpec {
 };
 
 /// `[init]`.
-pub const SEC_INIT: SectionSpec = SectionSpec {
+pub(crate) const SEC_INIT: SectionSpec = SectionSpec {
     name: "init",
     workload: "model",
     keys: &[
@@ -575,7 +575,7 @@ pub const SEC_INIT: SectionSpec = SectionSpec {
 };
 
 /// `[noise]` (both workloads).
-pub const SEC_NOISE: SectionSpec = SectionSpec {
+pub(crate) const SEC_NOISE: SectionSpec = SectionSpec {
     name: "noise",
     workload: "both",
     keys: &[
@@ -585,7 +585,7 @@ pub const SEC_NOISE: SectionSpec = SectionSpec {
 };
 
 /// `[inject]` for the model workload.
-pub const SEC_INJECT_MODEL: SectionSpec = SectionSpec {
+pub(crate) const SEC_INJECT_MODEL: SectionSpec = SectionSpec {
     name: "inject",
     workload: "model",
     keys: &[
@@ -597,7 +597,7 @@ pub const SEC_INJECT_MODEL: SectionSpec = SectionSpec {
 };
 
 /// `[inject]` for the mpisim workload.
-pub const SEC_INJECT_MPISIM: SectionSpec = SectionSpec {
+pub(crate) const SEC_INJECT_MPISIM: SectionSpec = SectionSpec {
     name: "inject",
     workload: "mpisim",
     keys: &[
@@ -608,7 +608,7 @@ pub const SEC_INJECT_MPISIM: SectionSpec = SectionSpec {
 };
 
 /// `[sim]`.
-pub const SEC_SIM: SectionSpec = SectionSpec {
+pub(crate) const SEC_SIM: SectionSpec = SectionSpec {
     name: "sim",
     workload: "model",
     keys: &[
@@ -624,7 +624,7 @@ pub const SEC_SIM: SectionSpec = SectionSpec {
 };
 
 /// `[wave]` (both workloads).
-pub const SEC_WAVE: SectionSpec = SectionSpec {
+pub(crate) const SEC_WAVE: SectionSpec = SectionSpec {
     name: "wave",
     workload: "both",
     keys: &[
@@ -639,7 +639,7 @@ pub const SEC_WAVE: SectionSpec = SectionSpec {
 };
 
 /// `[mpisim]`.
-pub const SEC_MPISIM: SectionSpec = SectionSpec {
+pub(crate) const SEC_MPISIM: SectionSpec = SectionSpec {
     name: "mpisim",
     workload: "mpisim",
     keys: &[
@@ -676,7 +676,7 @@ pub const SEC_MPISIM: SectionSpec = SectionSpec {
 };
 
 /// The whole toolkit, in help/docs order.
-pub static TOOLKIT: Registry = Registry {
+pub(crate) static TOOLKIT: Registry = Registry {
     commands: &[
         POTENTIALS,
         SCALING,

@@ -19,7 +19,7 @@
 //! * the CLI help (full command table and per-command pages),
 //! * the daemon's `GET /schema` document ([`Registry::schema_json`]),
 //! * the committed `docs/CLI.md` reference ([`Registry::markdown`]),
-//! * sweep-spec section validation ([`SectionSpec::check`]).
+//! * sweep-spec section validation (`SectionSpec::check`).
 //!
 //! The toolkit's own definitions live in [`defs`]; [`toolkit`] returns
 //! the whole registry.
@@ -62,7 +62,7 @@ pub enum ArgKind {
 
 impl ArgKind {
     /// Machine-readable kind tag (schema/docs).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             ArgKind::Bool => "bool",
             ArgKind::U64 => "u64",
@@ -76,7 +76,7 @@ impl ArgKind {
     }
 
     /// The expected-value phrase used in [`ArgError::BadValue`].
-    pub fn expected(&self) -> &'static str {
+    pub(crate) fn expected(&self) -> &'static str {
         match self {
             ArgKind::Bool => "a boolean (0/1/true/false)",
             ArgKind::U64 => "a non-negative integer",
@@ -89,7 +89,7 @@ impl ArgKind {
     }
 
     /// Parse one raw CLI/query value into a typed [`ArgValue`].
-    pub fn parse_value(&self, key: &str, raw: &str) -> Result<ArgValue, ArgError> {
+    pub(crate) fn parse_value(&self, key: &str, raw: &str) -> Result<ArgValue, ArgError> {
         let bad = || ArgError::BadValue {
             key: key.to_string(),
             value: raw.to_string(),
@@ -134,7 +134,7 @@ impl ArgKind {
     /// Does a spec-file [`Value`] satisfy this kind? (Enum membership is
     /// left to the scenario resolver, which owns the legacy wordings —
     /// the kind check only demands a string.)
-    pub fn admits(&self, v: &Value) -> bool {
+    pub(crate) fn admits(&self, v: &Value) -> bool {
         match self {
             ArgKind::Bool => v.as_bool().is_some(),
             ArgKind::U64 => v.as_i64().is_some_and(|i| i >= 0),
@@ -164,7 +164,7 @@ impl ArgKind {
 
 /// One parsed argument value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ArgValue {
+pub(crate) enum ArgValue {
     /// Boolean flag.
     Bool(bool),
     /// Non-negative integer.
@@ -193,7 +193,7 @@ pub struct ArgSpec {
     /// Value type.
     pub kind: ArgKind,
     /// Default, rendered exactly as a user would type it; parsed through
-    /// [`ArgKind::parse_value`] when the key is absent.
+    /// `ArgKind::parse_value` when the key is absent.
     pub default: Option<&'static str>,
     /// Reject the invocation when absent.
     pub required: bool,
@@ -236,13 +236,13 @@ impl ArgSpec {
     }
 
     /// Accept alternate spellings.
-    pub const fn with_aliases(mut self, aliases: &'static [&'static str]) -> Self {
+    pub(crate) const fn with_aliases(mut self, aliases: &'static [&'static str]) -> Self {
         self.aliases = aliases;
         self
     }
 
     /// Does `key` address this argument (canonical name or alias)?
-    pub fn matches(&self, key: &str) -> bool {
+    pub(crate) fn matches(&self, key: &str) -> bool {
         self.name == key || self.aliases.contains(&key)
     }
 }
@@ -298,18 +298,8 @@ impl CommandSpec {
         parse_words(self.args, words)
     }
 
-    /// Parse pre-split pairs (an HTTP query string) against this spec.
-    pub fn parse_pairs<I, K, V>(&self, pairs: I) -> Result<Parsed, ArgError>
-    where
-        I: IntoIterator<Item = (K, V)>,
-        K: AsRef<str>,
-        V: AsRef<str>,
-    {
-        parse_pairs(self.args, pairs)
-    }
-
     /// `usage`-style one-liner: `pom sweep <spec> [key=value ...]`.
-    pub fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let mut out = format!("pom {}", self.name);
         for a in self.args.iter().filter(|a| a.positional) {
             let _ = write!(
@@ -409,7 +399,7 @@ impl SectionSpec {
     /// `unknown key `sec.k` (allowed: …)` wording, kind mismatches the
     /// legacy `` `sec.k` must be … `` wording. Enum membership is left
     /// to the scenario resolver (it owns those wordings).
-    pub fn check(&self, t: &BTreeMap<String, Value>) -> Result<(), String> {
+    pub(crate) fn check(&self, t: &BTreeMap<String, Value>) -> Result<(), String> {
         for (k, v) in t {
             let Some(spec) = self.keys.iter().find(|a| a.matches(k)) else {
                 let allowed: Vec<&str> = self.keys.iter().map(|a| a.name).collect();
@@ -450,15 +440,8 @@ impl Registry {
             .find(|c| c.name == name || c.aliases.contains(&name))
     }
 
-    /// Look up a route by method and path pattern.
-    pub fn route(&self, method: &str, path: &str) -> Option<&'static RouteSpec> {
-        self.routes
-            .iter()
-            .find(|r| r.method == method && r.path == path)
-    }
-
     /// Look up a spec section by name and workload.
-    pub fn section(&self, name: &str, workload: &str) -> Option<&'static SectionSpec> {
+    pub(crate) fn section(&self, name: &str, workload: &str) -> Option<&'static SectionSpec> {
         self.sections
             .iter()
             .find(|s| s.name == name && (s.workload == workload || s.workload == "both"))
@@ -694,7 +677,7 @@ impl Parsed {
 /// [`ArgError::UnexpectedPositional`] when the command declares any
 /// positional, and the legacy [`ArgError::Malformed`] when it declares
 /// none (nothing a bare word could have meant).
-pub fn parse_words<I, S>(table: &'static [ArgSpec], words: I) -> Result<Parsed, ArgError>
+pub(crate) fn parse_words<I, S>(table: &'static [ArgSpec], words: I) -> Result<Parsed, ArgError>
 where
     I: IntoIterator<Item = S>,
     S: AsRef<str>,
@@ -720,7 +703,7 @@ where
 }
 
 /// Generic driver for pre-split pairs (HTTP query strings).
-pub fn parse_pairs<I, K, V>(table: &'static [ArgSpec], pairs: I) -> Result<Parsed, ArgError>
+pub(crate) fn parse_pairs<I, K, V>(table: &'static [ArgSpec], pairs: I) -> Result<Parsed, ArgError>
 where
     I: IntoIterator<Item = (K, V)>,
     K: AsRef<str>,
@@ -770,7 +753,7 @@ fn finish(
 /// Append the offending key's doc line to a parse error. Both front
 /// ends (CLI and HTTP) route errors through this, so the differential
 /// suite can compare them verbatim.
-pub fn explain(table: &'static [ArgSpec], e: &ArgError) -> String {
+pub(crate) fn explain(table: &'static [ArgSpec], e: &ArgError) -> String {
     let key = match e {
         ArgError::Duplicate(k) => Some(k.as_str()),
         ArgError::Missing(k) => Some(*k),
@@ -797,7 +780,7 @@ fn unknown_key(table: &'static [ArgSpec], key: &str) -> ArgError {
 }
 
 /// Levenshtein edit distance (iterative two-row DP).
-pub fn edit_distance(a: &str, b: &str) -> usize {
+pub(crate) fn edit_distance(a: &str, b: &str) -> usize {
     let a: Vec<char> = a.chars().collect();
     let b: Vec<char> = b.chars().collect();
     let mut prev: Vec<usize> = (0..=b.len()).collect();
@@ -815,7 +798,10 @@ pub fn edit_distance(a: &str, b: &str) -> usize {
 
 /// The candidate within edit distance 2 of `input`, closest first
 /// (ties: first declared). `None` when nothing is close.
-pub fn closest<'a>(input: &str, candidates: impl Iterator<Item = &'a str>) -> Option<&'a str> {
+pub(crate) fn closest<'a>(
+    input: &str,
+    candidates: impl Iterator<Item = &'a str>,
+) -> Option<&'a str> {
     candidates
         .map(|c| (edit_distance(input, c), c))
         .filter(|(d, _)| *d <= 2)

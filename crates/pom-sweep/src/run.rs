@@ -219,7 +219,7 @@ fn model_scalar(
 /// Replica `rep` uses [`CampaignSpec::replica_seed`]`(index, rep)` for its
 /// model build *and* its initial condition — replica 0 is bit-for-bit the
 /// run a `replicas = 1` campaign would perform. Batched integration is
-/// bitwise identical to R independent runs (see `pom_core::ensemble`), so
+/// bitwise identical to R independent runs (see `pom_core::PomEnsemble`), so
 /// the aggregates are as deterministic as the plain columns: independent
 /// of thread count, resume, and execution order.
 fn model_ensemble_observables(

@@ -384,6 +384,6 @@ pub fn scan_completed_at(text: &str, spec: &CampaignSpec) -> Result<ScanOutcome,
 /// Scan an existing JSONL stream for completed points (see
 /// [`scan_completed_at`] for the torn-tail/corruption distinction; this
 /// wrapper returns just the completed set).
-pub fn scan_completed(text: &str, spec: &CampaignSpec) -> Result<HashSet<usize>, String> {
+pub(crate) fn scan_completed(text: &str, spec: &CampaignSpec) -> Result<HashSet<usize>, String> {
     Ok(scan_completed_at(text, spec)?.done)
 }

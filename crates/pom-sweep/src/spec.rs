@@ -84,13 +84,8 @@ pub struct Axis {
 
 impl Axis {
     /// Number of positions along this axis.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
-    }
-
-    /// True when the axis has no positions (invalid; rejected at parse).
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -128,7 +123,7 @@ pub enum Observable {
 
 impl Observable {
     /// Parse a spec name.
-    pub fn from_name(name: &str) -> Option<Self> {
+    pub(crate) fn from_name(name: &str) -> Option<Self> {
         Some(match name {
             "final_r" | "final_order_parameter" => Observable::FinalOrderParameter,
             "final_spread" | "final_phase_spread" => Observable::FinalPhaseSpread,
@@ -163,14 +158,14 @@ impl Observable {
     }
 
     /// Wave observables need a paired baseline (no-injection) run.
-    pub fn needs_baseline(&self) -> bool {
+    pub(crate) fn needs_baseline(&self) -> bool {
         matches!(self, Observable::WaveSpeed | Observable::WaveR2)
     }
 
     /// Time-resolved observables only computable by the streaming
     /// (observer) execution path — they summarize every integrator step,
     /// which the trajectory path never materializes at full resolution.
-    /// Incompatible with [`Observable::needs_baseline`] observables in
+    /// Incompatible with `Observable::needs_baseline` observables in
     /// one campaign (those force the recorded perturbed/baseline pair).
     pub fn needs_series(&self) -> bool {
         matches!(
@@ -416,7 +411,7 @@ impl CampaignSpec {
     /// the plain observable names for `replicas = 1`, or the four
     /// aggregate columns `<obs>_mean`/`<obs>_ci95`/`<obs>_min`/`<obs>_max`
     /// per observable for a replicated campaign.
-    pub fn observable_columns(&self) -> Vec<String> {
+    pub(crate) fn observable_columns(&self) -> Vec<String> {
         if self.replicas <= 1 {
             self.observables
                 .iter()
@@ -749,7 +744,7 @@ impl ModelScenario {
     }
 
     /// Effective wave-fit source rank.
-    pub fn wave_source(&self) -> usize {
+    pub(crate) fn wave_source(&self) -> usize {
         self.wave
             .source
             .or(self.inject.map(|i| i.rank))
@@ -757,7 +752,7 @@ impl ModelScenario {
     }
 
     /// Effective wave-fit maximum distance.
-    pub fn wave_max_distance(&self) -> usize {
+    pub(crate) fn wave_max_distance(&self) -> usize {
         self.wave
             .max_distance
             .unwrap_or((self.n / 2).saturating_sub(2).max(1))
@@ -796,7 +791,7 @@ pub struct MpiScenario {
 impl MpiScenario {
     /// Assemble the `ProgramSpec`; `with_inject = false` gives the
     /// baseline twin.
-    pub fn program(&self, point_seed: u64, with_inject: bool) -> ProgramSpec {
+    pub(crate) fn program(&self, point_seed: u64, with_inject: bool) -> ProgramSpec {
         let mut p = ProgramSpec::new(self.n, self.iterations)
             .kernel(self.kernel)
             .work(WorkSpec::TargetSeconds(self.work_seconds))
@@ -823,7 +818,7 @@ impl MpiScenario {
     }
 
     /// Effective wave-fit source rank.
-    pub fn wave_source(&self) -> usize {
+    pub(crate) fn wave_source(&self) -> usize {
         self.wave
             .source
             .or(self.inject.map(|i| i.rank))
@@ -831,7 +826,7 @@ impl MpiScenario {
     }
 
     /// Effective wave-fit maximum distance.
-    pub fn wave_max_distance(&self) -> usize {
+    pub(crate) fn wave_max_distance(&self) -> usize {
         self.wave
             .max_distance
             .unwrap_or((self.n / 2).saturating_sub(2).max(1))
@@ -849,7 +844,7 @@ pub enum Scenario {
 
 impl Scenario {
     /// Resolve a merged scenario tree.
-    pub fn from_value(tree: &Value) -> Result<Self, SweepError> {
+    pub(crate) fn from_value(tree: &Value) -> Result<Self, SweepError> {
         match workload_kind(tree) {
             "mpisim" => Ok(Scenario::MpiSim(Box::new(mpisim_from_value(tree)?))),
             "model" => Ok(Scenario::Model(Box::new(model_from_value(tree)?))),

@@ -52,12 +52,12 @@ impl std::error::Error for ParseError {}
 
 impl Value {
     /// Empty table.
-    pub fn table() -> Self {
+    pub(crate) fn table() -> Self {
         Value::Table(BTreeMap::new())
     }
 
     /// Borrow as table.
-    pub fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
+    pub(crate) fn as_table(&self) -> Option<&BTreeMap<String, Value>> {
         match self {
             Value::Table(t) => Some(t),
             _ => None,
@@ -99,7 +99,7 @@ impl Value {
     }
 
     /// Boolean view.
-    pub fn as_bool(&self) -> Option<bool> {
+    pub(crate) fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),
             _ => None,
@@ -117,7 +117,7 @@ impl Value {
 
     /// Set a dotted path, creating intermediate tables. Errors if a
     /// non-table intermediate exists.
-    pub fn set(&mut self, path: &str, value: Value) -> Result<(), ParseError> {
+    pub(crate) fn set(&mut self, path: &str, value: Value) -> Result<(), ParseError> {
         let mut cur = self;
         let segs: Vec<&str> = path.split('.').collect();
         for (i, seg) in segs.iter().enumerate() {
@@ -182,7 +182,7 @@ impl Value {
 }
 
 /// Deterministic JSON number rendering for a float; non-finite → `null`.
-pub fn format_f64(x: f64) -> String {
+pub(crate) fn format_f64(x: f64) -> String {
     if !x.is_finite() {
         return "null".to_string();
     }
@@ -211,7 +211,7 @@ pub fn write_json_str(s: &str, out: &mut String) {
 }
 
 /// FNV-1a over a byte string — the campaign content hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

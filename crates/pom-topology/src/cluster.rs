@@ -89,14 +89,15 @@ impl ClusterSpec {
     }
 
     /// Cores per node.
-    pub fn cores_per_node(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cores_per_node(&self) -> usize {
         self.sockets_per_node * self.cores_per_socket
     }
 }
 
 /// Distance class of a rank pair in the cluster hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DistanceClass {
+pub(crate) enum DistanceClass {
     /// Same socket (shared memory controller).
     IntraSocket,
     /// Same node, different sockets.
@@ -122,7 +123,7 @@ impl Placement {
     ///
     /// # Panics
     /// Panics if `n_ranks == 0` or `ranks_per_socket == 0`.
-    pub fn block(spec: ClusterSpec, n_ranks: usize, ranks_per_socket: usize) -> Self {
+    pub(crate) fn block(spec: ClusterSpec, n_ranks: usize, ranks_per_socket: usize) -> Self {
         assert!(n_ranks > 0, "need at least one rank");
         assert!(ranks_per_socket > 0, "need at least one rank per socket");
         let rps = ranks_per_socket.min(spec.cores_per_socket);
@@ -149,18 +150,13 @@ impl Placement {
         self.n_ranks
     }
 
-    /// Ranks per socket in this placement.
-    pub fn ranks_per_socket(&self) -> usize {
-        self.ranks_per_socket
-    }
-
     /// Socket index (global across nodes) hosting `rank`.
     pub fn socket_of(&self, rank: usize) -> usize {
         rank / self.ranks_per_socket
     }
 
     /// Node index hosting `rank`.
-    pub fn node_of(&self, rank: usize) -> usize {
+    pub(crate) fn node_of(&self, rank: usize) -> usize {
         self.socket_of(rank) / self.spec.sockets_per_node
     }
 
@@ -170,12 +166,13 @@ impl Placement {
     }
 
     /// Number of nodes in use.
-    pub fn n_nodes(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn n_nodes(&self) -> usize {
         self.n_sockets().div_ceil(self.spec.sockets_per_node)
     }
 
     /// Distance class between two ranks.
-    pub fn distance_class(&self, a: usize, b: usize) -> DistanceClass {
+    pub(crate) fn distance_class(&self, a: usize, b: usize) -> DistanceClass {
         if self.socket_of(a) == self.socket_of(b) {
             DistanceClass::IntraSocket
         } else if self.node_of(a) == self.node_of(b) {
@@ -195,7 +192,8 @@ impl Placement {
     }
 
     /// Ranks hosted by global socket index `s`.
-    pub fn ranks_on_socket(&self, s: usize) -> std::ops::Range<usize> {
+    #[cfg(test)]
+    pub(crate) fn ranks_on_socket(&self, s: usize) -> std::ops::Range<usize> {
         let lo = s * self.ranks_per_socket;
         let hi = ((s + 1) * self.ranks_per_socket).min(self.n_ranks);
         lo..hi
@@ -249,12 +247,6 @@ mod tests {
         // Latency grows with distance class.
         assert!(p.latency(0, 5) < p.latency(0, 15));
         assert!(p.latency(0, 15) < p.latency(0, 25));
-    }
-
-    #[test]
-    fn ranks_per_socket_clamped_to_cores() {
-        let p = Placement::block(ClusterSpec::meggie(), 40, 99);
-        assert_eq!(p.ranks_per_socket(), 10);
     }
 
     #[test]

@@ -120,7 +120,8 @@ impl RingStencil {
     }
 
     /// Degree of every row (uniform by translational symmetry).
-    pub fn degree(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn degree(&self) -> usize {
         self.offsets.len()
     }
 
@@ -359,7 +360,7 @@ impl Topology {
     /// Minimal rank-space distance `|i − j|` respecting ring wraparound for
     /// periodic kinds (used by `κ` fallbacks and by the network model to
     /// scale per-hop latency).
-    pub fn rank_distance(&self, i: usize, j: usize) -> usize {
+    pub(crate) fn rank_distance(&self, i: usize, j: usize) -> usize {
         let lin = i.abs_diff(j);
         match self.kind {
             TopologyKind::Ring { .. } | TopologyKind::AllToAll => lin.min(self.n - lin),
@@ -369,7 +370,8 @@ impl Topology {
 
     /// Is the topology connected as an undirected graph? (An unconnected
     /// program never propagates idle waves across components.)
-    pub fn is_connected(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_connected(&self) -> bool {
         if self.n == 0 {
             return true;
         }

@@ -4,8 +4,6 @@
 
 use pom_core::PomRun;
 
-use crate::svg::SvgCanvas;
-
 /// Shade characters from low to high.
 const SHADES: [char; 7] = [' ', '.', ':', '-', '=', '#', '@'];
 
@@ -53,47 +51,6 @@ pub fn phase_heatmap_ascii(run: &PomRun, width: usize) -> String {
         tr.time(samples - 1)
     ));
     out
-}
-
-/// SVG heatmap with a blue→red colormap.
-pub fn phase_heatmap_svg(run: &PomRun, width_px: f64, row_px: f64) -> String {
-    let tr = run.trajectory();
-    let n = tr.dim();
-    let samples = tr.len();
-    let cols = samples.clamp(1, 400);
-    let mut canvas = SvgCanvas::new(
-        width_px,
-        row_px * n as f64,
-        (tr.time(0), tr.time(samples - 1).max(tr.time(0) + 1e-9)),
-        (0.0, n as f64),
-    );
-    // Precompute normalization.
-    let mut v_max: f64 = 1e-300;
-    let snaps: Vec<Vec<f64>> = (0..cols)
-        .map(|c| {
-            let k = c * (samples - 1) / cols.max(1);
-            let s = run.normalized_snapshot(k);
-            for &v in &s {
-                v_max = v_max.max(v);
-            }
-            s
-        })
-        .collect();
-    for (c, snap) in snaps.iter().enumerate() {
-        let t0 = tr.time(c * (samples - 1) / cols.max(1));
-        let t1 = tr.time(((c + 1) * (samples - 1) / cols.max(1)).min(samples - 1));
-        if t1 <= t0 {
-            continue;
-        }
-        for (i, &v) in snap.iter().enumerate() {
-            let w = (v / v_max).clamp(0.0, 1.0);
-            let r = (60.0 + 180.0 * w) as u8;
-            let b = (200.0 - 160.0 * w) as u8;
-            let y_lo = (n - i - 1) as f64;
-            canvas.rect((t0, y_lo), (t1, y_lo + 1.0), &format!("rgb({r},80,{b})"));
-        }
-    }
-    canvas.render()
 }
 
 #[cfg(test)]
@@ -151,14 +108,6 @@ mod tests {
         // No deviations: only the lightest shade appears.
         assert!(!art.contains('@'));
         assert!(!art.contains('#'));
-    }
-
-    #[test]
-    fn svg_heatmap_renders_rects() {
-        let run = wave_run();
-        let svg = phase_heatmap_svg(&run, 400.0, 6.0);
-        assert!(svg.matches("<rect").count() > 100);
-        assert!(svg.contains("rgb("));
     }
 
     #[test]

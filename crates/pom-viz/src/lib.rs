@@ -12,16 +12,16 @@
 //! tests, a tiny hand-rolled SVG writer for files, and CSV for
 //! downstream plotting.
 
-pub mod circle;
-pub mod csv;
-pub mod gantt;
-pub mod heatmap;
-pub mod svg;
-pub mod timeline;
+mod circle;
+mod csv;
+mod gantt;
+mod heatmap;
+mod svg;
+mod timeline;
 
 pub use circle::{circle_ascii, circle_svg};
 pub use csv::{write_series, write_table};
 pub use gantt::{gantt_ascii, gantt_svg};
-pub use heatmap::{phase_heatmap_ascii, phase_heatmap_svg};
+pub use heatmap::phase_heatmap_ascii;
 pub use svg::SvgCanvas;
 pub use timeline::{ascii_chart, phase_timeline_csv, potential_timeline_csv};

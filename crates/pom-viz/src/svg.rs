@@ -79,7 +79,7 @@ impl SvgCanvas {
     }
 
     /// Axis-aligned rectangle between two data corners.
-    pub fn rect(&mut self, lo: (f64, f64), hi: (f64, f64), fill: &str) {
+    pub(crate) fn rect(&mut self, lo: (f64, f64), hi: (f64, f64), fill: &str) {
         let (x0, x1) = (self.px(lo.0), self.px(hi.0));
         let (y0, y1) = (self.py(hi.1), self.py(lo.1)); // y flips
         let _ = writeln!(

@@ -25,7 +25,7 @@
 //! | [`analysis`] | idle-wave detection and speed fits, de/resynchronization metrics, linear stability, statistics |
 //! | [`sweep`] | parallel scenario-campaign engine: declarative TOML/JSON sweeps, deterministic per-point seeding, streaming JSONL/CSV results, resume |
 //! | [`serve`] | campaign daemon: HTTP/JSON job API over the sweep engine — submit, poll, stream, cancel, resume; crash-safe spool |
-//! | [`obs`] | observability: metrics registry with Prometheus text exposition, span timers, structured JSONL events |
+//! | [`obs`] | observability: metrics registry with Prometheus text exposition, structured JSONL events |
 //! | [`viz`] | circle diagrams, phase/potential timelines, trace Gantt charts (ASCII/SVG/CSV) |
 //!
 //! ## Quick start
