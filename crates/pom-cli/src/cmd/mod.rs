@@ -86,6 +86,12 @@ impl From<ArgError> for CliError {
     }
 }
 
+impl From<pom_sweep::SweepError> for CliError {
+    fn from(e: pom_sweep::SweepError) -> Self {
+        CliError::Run(e.to_string())
+    }
+}
+
 /// Top-level dispatch: `run_cli(["fig2", "panel=a"]) → report`.
 ///
 /// The command word selects a [`CommandSpec`]; its generic driver parses

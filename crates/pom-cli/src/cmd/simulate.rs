@@ -5,47 +5,15 @@
 use std::fmt::Write as _;
 
 use pom_analysis::Welford;
-use pom_core::{
-    InitialCondition, NoObserver, Normalization, Pom, PomBuilder, PomEnsemble, Potential,
-    RhsKernel, SimOptions, SolverChoice,
-};
-use pom_noise::{DelayEvent, OneOffDelays, WhiteJitter};
+use pom_core::{InitialCondition, NoObserver, Pom};
 use pom_sweep::registry::Parsed;
-use pom_sweep::ArgError;
-use pom_topology::Topology;
+use pom_sweep::spec::ModelScenario;
+use pom_sweep::{ArgError, Value};
 use pom_viz::{ascii_chart, circle_ascii, phase_heatmap_ascii};
 
 use super::CliError;
 
 pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
-    let n = p.usize("n").max(2);
-    let sigma = p.f64("sigma");
-    let potential = match p.str("potential") {
-        "tanh" => Potential::tanh(),
-        "desync" => Potential::desync(sigma),
-        "sin" | "kuramoto" => Potential::KuramotoSin,
-        other => unreachable!("enum-checked potential `{other}`"),
-    };
-    let tcomp = p.f64("tcomp");
-    let tcomm = p.f64("tcomm");
-    let distances = p.ints("distances").to_vec();
-    let t_end = p.f64("t_end");
-    let seed = p.u64("seed");
-    let noise = p.f64("noise");
-    let topology = match p.str("topology") {
-        "ring" => Topology::ring(n, &distances),
-        "chain" => Topology::chain(n, &distances),
-        "all" | "all-to-all" => Topology::all_to_all(n),
-        other => unreachable!("enum-checked topology `{other}`"),
-    };
-
-    let kernel = RhsKernel::from_name(p.str("kernel"))
-        .unwrap_or_else(|| unreachable!("enum-checked kernel `{}`", p.str("kernel")));
-    // The registry folds the sweep-spec spelling `rhs_threads` into the
-    // canonical key, so a user copying from a TOML spec cannot get a
-    // silent serial run.
-    let rhs_threads = p.usize("rhs-threads");
-
     let replicas = p.usize("replicas");
     if replicas == 0 {
         return Err(CliError::Config(ArgError::BadValue {
@@ -54,97 +22,52 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
             expected: "an integer ≥ 1",
         }));
     }
-
-    let coupling = p.opt_f64("coupling");
-    let kappa = p.opt_f64("kappa");
-    let delay = p
-        .opt_usize("delay_rank")
-        .map(|rank| (rank, p.f64("delay_at"), p.f64("delay_len")));
-
-    let norm = match p.str("norm") {
-        "n" => Normalization::ByN,
-        _ => Normalization::ByDegree,
-    };
-
-    // One member per replica seed; replica 0 uses the base seed verbatim
-    // so `replicas=1` is exactly today's single run (same contract as the
-    // sweep layer's `CampaignSpec::replica_seed`).
-    let build_model = |rep_seed: u64| -> Result<Pom, CliError> {
-        let mut b = PomBuilder::new(n)
-            .topology(topology.clone())
-            .potential(potential)
-            .compute_time(tcomp)
-            .comm_time(tcomm)
-            .kernel(kernel)
-            .rhs_threads(rhs_threads)
-            .normalization(norm);
-        if let Some(vp) = coupling {
-            b = b.coupling(vp);
+    if let Some(h) = p.opt_f64("h") {
+        if !(h.is_finite() && h > 0.0) {
+            return Err(CliError::Config(ArgError::BadValue {
+                key: "h".into(),
+                value: h.to_string(),
+                expected: "a positive step size",
+            }));
         }
-        if let Some(k) = kappa {
-            b = b.kappa(k);
-        }
-        // Noise and one-off delays.
-        if let Some((rank, t_start, duration)) = delay {
-            b = b.local_noise(OneOffDelays::new(vec![DelayEvent {
-                rank,
-                t_start,
-                duration,
-                extra: tcomp + tcomm,
-            }]));
-        } else if noise > 0.0 {
-            b = b.local_noise(WhiteJitter::new(rep_seed, noise, (tcomp + tcomm) / 2.0));
-        }
-        b.build().map_err(|e| CliError::Run(e.to_string()))
-    };
-
-    let init_kind = p.str("init");
-    let make_init = |rep_seed: u64| -> InitialCondition {
-        match init_kind {
-            "sync" => InitialCondition::Synchronized,
-            "wavefront" => InitialCondition::Wavefront {
-                slope: p.f64("slope"),
-            },
-            _ => InitialCondition::RandomSpread {
-                amplitude: p.f64("amplitude"),
-                seed: rep_seed,
-            },
-        }
-    };
+    }
+    let scenario = ModelScenario::from_value(&scenario_tree(p))?;
+    // `seed=` is the point seed: replica 0 (and the single run) uses it
+    // verbatim, exactly like a sweep point.
+    let seed = p.u64("seed");
+    let t_end = scenario.t_end;
 
     if replicas > 1 {
-        // Replicas only differ through a seeded source: a seeded spread
-        // init or white jitter. Without one, R identical runs would
-        // masquerade as statistics.
-        if init_kind != "spread" && (noise <= 0.0 || delay.is_some()) {
+        if !scenario.varies_per_replica() {
             return Err(CliError::Run(
                 "replicas > 1 needs a per-replica randomness source \
                  (init=spread or noise > 0); otherwise all replicas are identical"
                     .to_string(),
             ));
         }
-        return ensemble_report(replicas, seed, &build_model, &make_init, t_end, p);
+        return ensemble_report(&scenario, replicas, seed);
     }
 
-    let model = build_model(seed)?;
-    let init = make_init(seed);
+    let model = scenario.build(seed, true)?;
+    let init = scenario.initial_condition(seed);
     // Streaming mode (`observe=1 [record-every=k]`): run the observer
     // fast path instead of recording a trajectory — observables fold
     // online, memory stays O(N) however long the span, and the report is
     // the streamed summary (trajectory views don't exist here).
     if p.bool("observe") {
-        return observed_report(&model, init, t_end, p);
+        return observed_report(&model, init, &scenario, p);
     }
 
     let run = model
-        .simulate_with(init, &SimOptions::new(t_end).samples(p.usize("samples")))
+        .simulate_with(init, &scenario.sim_options())
         .map_err(|e| CliError::Run(e.to_string()))?;
 
     let mut out = String::new();
     let _ = writeln!(
         out,
-        "# POM run: N = {n}, potential = {}, κ = {:.2}, v_p = {:.3}, t_end = {t_end}, \
+        "# POM run: N = {}, potential = {}, κ = {:.2}, v_p = {:.3}, t_end = {t_end}, \
          kernel = {} ({} rhs thread{})",
+        model.n(),
         model.potential().name(),
         model.params().kappa,
         model.params().coupling(),
@@ -207,50 +130,72 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// The one-point scenario tree of a `simulate` invocation: each CLI key
+/// lands on the sweep-spec key it means, so the model is resolved by the
+/// same [`ModelScenario::from_value`] a `pom sweep` point goes through.
+/// Optional keys enter the tree only when given.
+fn scenario_tree(p: &Parsed) -> Value {
+    let mut tree = Value::Table(Default::default());
+    let mut set = |path: &str, v: Value| {
+        tree.set(path, v).expect("fresh tables along every path");
+    };
+    let int = |name: &str| Value::Int(p.u64(name) as i64);
+    let float = |name: &str| Value::Float(p.f64(name));
+    let text = |name: &str| Value::Str(p.str(name).to_string());
+
+    set("model.n", int("n"));
+    for key in ["potential", "norm", "kernel"] {
+        set(&format!("model.{key}"), text(key));
+    }
+    for key in ["sigma", "tcomp", "tcomm"] {
+        set(&format!("model.{key}"), float(key));
+    }
+    for key in ["coupling", "kappa"] {
+        if let Some(v) = p.opt_f64(key) {
+            set(&format!("model.{key}"), Value::Float(v));
+        }
+    }
+    set("model.rhs_threads", int("rhs-threads"));
+    set("topology.kind", text("topology"));
+    let distances = p.ints("distances").iter().map(|&d| Value::Int(d.into()));
+    set("topology.distances", Value::Array(distances.collect()));
+    set("init.kind", text("init"));
+    set("init.amplitude", float("amplitude"));
+    set("init.slope", float("slope"));
+    if p.f64("noise") > 0.0 {
+        set("noise.sigma", float("noise"));
+    }
+    if let Some(rank) = p.opt_u64("delay_rank") {
+        set("inject.rank", Value::Int(rank as i64));
+        set("inject.at", float("delay_at"));
+        set("inject.len", float("delay_len"));
+    }
+    set("sim.t_end", float("t_end"));
+    set("sim.samples", int("samples"));
+    if let Some(h) = p.opt_f64("h") {
+        set("sim.solver", Value::Str("rk4".to_string()));
+        set("sim.h", Value::Float(h));
+    }
+    tree
+}
+
 /// The `simulate replicas=R` report: run an R-member lockstep ensemble
 /// (one batched integration, replicas interleaved per oscillator row) and
 /// print per-replica finals plus mean/ci95/min/max aggregates.
+///
+/// `h=` opts into the lockstep fixed-step batch; without it the Auto
+/// solver picks Dopri5 for no-delay models and the ensemble runs its
+/// replicas sequentially (same results, less amortization).
 fn ensemble_report(
+    scenario: &ModelScenario,
     replicas: usize,
     seed: u64,
-    build_model: &dyn Fn(u64) -> Result<Pom, CliError>,
-    make_init: &dyn Fn(u64) -> InitialCondition,
-    t_end: f64,
-    p: &Parsed,
 ) -> Result<String, CliError> {
-    // Same derivation as `CampaignSpec::replica_seed`: replica 0 is the
-    // base seed, higher replicas hash it with their index.
-    let rep_seed = |rep: usize| {
-        if rep == 0 {
-            seed
-        } else {
-            pom_noise::SplitMix64::hash3(seed, rep as u64, 0x706f_6d2d_7265_706c)
-        }
-    };
-    let members: Vec<Pom> = (0..replicas)
-        .map(|rep| build_model(rep_seed(rep)))
-        .collect::<Result<_, _>>()?;
-    let inits: Vec<InitialCondition> = (0..replicas).map(|rep| make_init(rep_seed(rep))).collect();
-
-    // `h=` opts into the lockstep fixed-step batch; without it the Auto
-    // solver picks Dopri5 for no-delay models and the ensemble runs its
-    // replicas sequentially (same results, less amortization).
-    let mut opts = SimOptions::new(t_end);
-    if let Some(h) = p.opt_f64("h") {
-        if !(h.is_finite() && h > 0.0) {
-            return Err(CliError::Config(ArgError::BadValue {
-                key: "h".into(),
-                value: h.to_string(),
-                expected: "a positive step size",
-            }));
-        }
-        opts = opts.solver(SolverChoice::FixedRk4 { h });
-    }
-
-    let ensemble = PomEnsemble::new(members);
+    let (ensemble, inits) = scenario.ensemble(seed, replicas)?;
+    let t_end = scenario.t_end;
     let mut observers = vec![NoObserver; replicas];
     let summaries = ensemble
-        .simulate_observed(&inits, &opts, &mut observers)
+        .simulate_observed(&inits, &scenario.sim_options(), &mut observers)
         .map_err(|e| CliError::Run(e.to_string()))?;
 
     let mut out = String::new();
@@ -307,16 +252,17 @@ fn ensemble_report(
 fn observed_report(
     model: &Pom,
     init: InitialCondition,
-    t_end: f64,
+    scenario: &ModelScenario,
     p: &Parsed,
 ) -> Result<String, CliError> {
     use pom_analysis::RunSummaryProbe;
     use pom_core::ObserveEvery;
 
+    let t_end = scenario.t_end;
     let every = p.usize("record-every").max(1);
     let mut probe = ObserveEvery::new(RunSummaryProbe::new(), every);
     let summary = model
-        .simulate_observed(init, &SimOptions::new(t_end), &mut probe)
+        .simulate_observed(init, &scenario.sim_options(), &mut probe)
         .map_err(|e| CliError::Run(e.to_string()))?;
     let steps = probe.steps_seen();
     let stats = probe.inner();

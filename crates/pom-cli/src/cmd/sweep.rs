@@ -4,16 +4,16 @@
 use std::fmt::Write as _;
 
 use pom_sweep::registry::Parsed;
-use pom_sweep::{Campaign, ProgressSink, RunOptions, TeeSink};
+use pom_sweep::{Campaign, CsvSink, JsonlSink, ProgressSink, ResultSink, RunOptions, TeeSink};
 
 use super::CliError;
 
 pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
-    let spec_path = p.str("spec");
-    let campaign = Campaign::from_file(spec_path).map_err(|e| CliError::Run(e.to_string()))?;
+    let campaign = Campaign::from_file(p.str("spec"))?;
     let threads = p.usize("threads");
     let resume = p.bool("resume");
     let format = p.str("format");
+    let out_path = p.opt_str("out");
     let stats = p.bool("stats");
     if stats {
         // Opt-in instrumentation: per-point wall times land in the
@@ -23,7 +23,7 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
 
     // Resume state lives in the JSONL header's spec hash; silently
     // re-running a whole campaign instead would discard completed work.
-    if resume && (p.opt_str("out").is_none() || format != "jsonl") {
+    if resume && (out_path.is_none() || format != "jsonl") {
         return Err(CliError::Run(
             "resume=1 requires out=<file> with format=jsonl (only the JSONL stream \
              carries the spec hash and completed points)"
@@ -31,41 +31,34 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
         ));
     }
 
-    let summary = match p.opt_str("out") {
-        None => {
-            // No output file: the report *is* the JSONL stream.
-            let mut text = campaign
-                .run_jsonl_string(threads)
-                .map_err(|e| CliError::Run(e.to_string()))?;
-            if stats {
-                text.push_str(&stats_report());
-            }
-            return Ok(text);
+    // `format` picks the row encoding; the rows go to `out=` when given
+    // and otherwise are the report itself.
+    let mut stream = Vec::new();
+    let mut opts = RunOptions::with_threads(threads);
+    let mut rows: Box<dyn ResultSink + '_> = match (format, out_path) {
+        ("csv", Some(path)) => Box::new(CsvSink::new(
+            std::fs::File::create(path)
+                .map_err(|e| CliError::Run(format!("create {path}: {e}")))?,
+        )),
+        ("csv", None) => Box::new(CsvSink::new(&mut stream)),
+        (_, Some(path)) => {
+            let (sink, resumed) = campaign.jsonl_file_sink(path, threads, resume)?;
+            opts = resumed;
+            Box::new(sink)
         }
-        Some(out_path) => {
-            let mut progress = ProgressSink::new(campaign.total_points());
-            match format {
-                "csv" => {
-                    let file = std::fs::File::create(out_path)
-                        .map_err(|e| CliError::Run(format!("create {out_path}: {e}")))?;
-                    let mut sink = pom_sweep::CsvSink::new(file);
-                    let mut tee = TeeSink::new(vec![&mut sink, &mut progress]);
-                    campaign
-                        .run(&RunOptions::with_threads(threads), &mut tee)
-                        .map_err(|e| CliError::Run(e.to_string()))?
-                }
-                _ => {
-                    let (mut file_sink, opts) = campaign
-                        .jsonl_file_sink(out_path, threads, resume)
-                        .map_err(|e| CliError::Run(e.to_string()))?;
-                    let mut tee = TeeSink::new(vec![&mut file_sink, &mut progress]);
-                    campaign
-                        .run(&opts, &mut tee)
-                        .map_err(|e| CliError::Run(e.to_string()))?
-                }
-            }
-        }
+        (_, None) => Box::new(JsonlSink::new(&mut stream)),
     };
+    let Some(path) = out_path else {
+        campaign.run(&opts, rows.as_mut())?;
+        drop(rows);
+        let mut text = String::from_utf8(stream).expect("rows are utf-8");
+        if stats {
+            text.push_str(&stats_report());
+        }
+        return Ok(text);
+    };
+    let mut progress = ProgressSink::new(campaign.total_points());
+    let summary = campaign.run(&opts, &mut TeeSink::new(vec![rows.as_mut(), &mut progress]))?;
 
     let mut out = String::new();
     let _ = writeln!(out, "# campaign `{}`", campaign.spec.name);
@@ -73,9 +66,7 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     let _ = writeln!(out, "executed: {}", summary.executed);
     let _ = writeln!(out, "skipped:  {} (resume cache)", summary.skipped);
     let _ = writeln!(out, "errors:   {}", summary.errors);
-    if let Some(path) = p.opt_str("out") {
-        let _ = writeln!(out, "wrote {path}");
-    }
+    let _ = writeln!(out, "wrote {path}");
     if stats {
         out.push_str(&stats_report());
     }

@@ -40,10 +40,8 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
         values = [0.5, 1.0, 2.0, 3.0, 4.0, 6.0, 8.0]
         "#
     );
-    let campaign = Campaign::from_str(&spec).map_err(|e| CliError::Run(e.to_string()))?;
-    let rows = campaign
-        .run_collect(0)
-        .map_err(|e| CliError::Run(e.to_string()))?;
+    let campaign = Campaign::from_str(&spec)?;
+    let rows = campaign.run_collect(0)?;
 
     let mut out = String::new();
     let _ = writeln!(

@@ -190,6 +190,14 @@ fn sweep_runs_spec_file_and_streams_jsonl() {
     // Positional and spec= forms agree.
     let keyed = run_cli(["sweep".to_string(), format!("spec={}", path.display())]).unwrap();
     assert_eq!(out, keyed);
+    // Without out=, format=csv prints CSV rows rather than JSONL.
+    let csv = run_cli(["sweep", path.to_str().unwrap(), "format=csv"]).unwrap();
+    assert_eq!(csv.lines().count(), 3, "{csv}");
+    assert_eq!(
+        csv.lines().next(),
+        Some("point,seed,model.coupling,final_r,error")
+    );
+    assert!(!csv.contains('{'), "{csv}");
     let _ = std::fs::remove_file(&path);
 }
 
@@ -350,6 +358,23 @@ fn simulate_heatmap_view() {
     assert!(out.contains("heatmap"), "{out}");
     // 8 oscillator rows rendered.
     assert!(out.lines().filter(|l| l.contains('|')).count() >= 8);
+    // Noise and the delay both apply: white jitter on top of the same
+    // delay leaves a spread the delayed lockstep run has healed.
+    let spread = |extra: &[&str]| {
+        let mut args = vec![
+            "simulate",
+            "n=8",
+            "coupling=4",
+            "t_end=20",
+            "init=sync",
+            "delay_rank=3",
+        ];
+        args.extend(extra);
+        let out = run_cli(args).unwrap();
+        let line = out.lines().find(|l| l.starts_with("final phase spread"));
+        line.expect("spread line").to_string()
+    };
+    assert_ne!(spread(&[]), spread(&["noise=0.2"]));
 }
 
 #[test]
@@ -457,6 +482,15 @@ fn simulate_replica_zero_matches_single_run() {
 fn simulate_rejects_bad_potential() {
     let e = run_cli(["simulate", "potential=quux"]).unwrap_err();
     assert!(e.to_string().contains("tanh"));
+    // Keys resolve like a sweep point's: a delayed rank outside the
+    // ring and a one-oscillator model are errors, not silent fallbacks.
+    for (args, says) in [
+        (["delay_rank=99", "n=8"], "inject.rank 99 out of range"),
+        (["n=1", "t_end=5"], "model.n must be ≥ 2"),
+    ] {
+        let e = run_cli(["simulate"].into_iter().chain(args)).unwrap_err();
+        assert!(e.to_string().contains(says), "{args:?}: {e}");
+    }
 }
 
 #[test]

@@ -7,6 +7,10 @@
 //! `pom-serve/tests/schema_parity.rs` (which pins the HTTP side to the
 //! same `explain` rendering) this guarantees both front ends describe a
 //! given mistake with the same words.
+//!
+//! `pom simulate` and a one-point `pom sweep` spec of the same keys must
+//! also run the same model: both resolve through the sweep's scenario
+//! resolver, and the parity test below pins their printed finals.
 
 use pom_cli::{commands, run_cli};
 use pom_sweep::registry::CommandSpec;
@@ -79,4 +83,71 @@ fn alias_spellings_hit_the_same_explanations() {
         got.to_string().contains("rhs-threads") || got.to_string().contains("rhs_threads"),
         "{got}"
     );
+}
+
+#[test]
+fn simulate_matches_a_one_point_sweep_of_the_same_keys() {
+    // A delay window away from the resolver's default `inject.at` (2.0),
+    // so a dropped `delay_at` mapping changes the finals.
+    let spec = r#"
+        [campaign]
+        observables = ["final_r", "final_spread", "mean_abs_gap"]
+        [model]
+        n = 12
+        coupling = 2.0
+        [topology]
+        kind = "chain"
+        [init]
+        kind = "spread"
+        amplitude = 0.3
+        seed = 11
+        [inject]
+        rank = 4
+        at = 6.5
+        len = 2.0
+        [sim]
+        t_end = 12.0
+    "#;
+    let path = std::env::temp_dir().join(format!("pom-cli-parity-{}.toml", std::process::id()));
+    std::fs::write(&path, spec).unwrap();
+    let rows = run_cli(["sweep", path.to_str().unwrap(), "format=csv"]).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let swept: Vec<String> = rows
+        .lines()
+        .nth(1)
+        .expect("one point row")
+        .split(',')
+        .skip(2)
+        .take(3)
+        .map(|v| format!("{:.5}", v.parse::<f64>().unwrap()))
+        .collect();
+
+    let report = run_cli([
+        "simulate",
+        "n=12",
+        "coupling=2",
+        "topology=chain",
+        "init=spread",
+        "amplitude=0.3",
+        "seed=11",
+        "delay_rank=4",
+        "delay_at=6.5",
+        "delay_len=2",
+        "t_end=12",
+        "observe=1",
+    ])
+    .unwrap();
+    let simulated: Vec<String> = [
+        "final order parameter r",
+        "final phase spread",
+        "mean |adjacent gap|",
+    ]
+    .iter()
+    .map(|label| {
+        let line = report.lines().find(|l| l.starts_with(label));
+        let value = line.and_then(|l| l.split(':').nth(1)).expect("final line");
+        value.split_whitespace().next().unwrap().to_string()
+    })
+    .collect();
+    assert_eq!(simulated, swept, "simulate:\n{report}\nsweep:\n{rows}");
 }

@@ -92,7 +92,7 @@ pub use sink::{
     header_json, scan_completed_at, write_row_line, CampaignSummary, CsvSink, JsonlSink,
     MemorySink, ResultSink, TeeSink,
 };
-pub use spec::{Axis, CampaignSpec, Observable, Scenario, SweepError};
+pub use spec::{replica_seed, Axis, CampaignSpec, Observable, Scenario, SweepError};
 pub use value::{parse_auto, parse_json, parse_toml, write_json_str, Value};
 
 use std::collections::HashSet;

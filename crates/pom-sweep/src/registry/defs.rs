@@ -205,7 +205,7 @@ pub const SIMULATE: CommandSpec = CommandSpec {
         ArgSpec::new(
             "h",
             ArgKind::F64,
-            "fixed RK4 step (opts the ensemble into lockstep batching)",
+            "fixed RK4 step (also batches replicas in lockstep)",
         ),
         ArgSpec::new(
             "view",
@@ -241,7 +241,7 @@ pub const SWEEP: CommandSpec = CommandSpec {
         ArgSpec::new(
             "out",
             ArgKind::Path,
-            "output file (omit to print the JSONL stream)",
+            "output file (omit to print the rows in `format`)",
         ),
         ArgSpec::new(
             "format",

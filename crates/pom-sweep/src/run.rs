@@ -5,7 +5,7 @@ use std::panic::{self, AssertUnwindSafe};
 use pom_analysis::{
     model_wave_speed_in, sim_wave_speed_in, RunSummaryProbe, WaveGeometry, Welford,
 };
-use pom_core::{NoObserver, PomEnsemble, PomRun, SimSummary, SimWorkspace};
+use pom_core::{NoObserver, PomRun, SimSummary, SimWorkspace};
 use pom_mpisim::{SimTrace, Simulator};
 use pom_topology::{ClusterSpec, Placement, TopologyKind};
 
@@ -80,7 +80,7 @@ fn execute(
 ) -> Result<Vec<(String, f64)>, SweepError> {
     let scenario = spec.scenario_at(index)?;
     match scenario {
-        Scenario::Model(m) if spec.replicas > 1 => model_ensemble_observables(&m, spec, index, ws),
+        Scenario::Model(m) if spec.replicas > 1 => model_ensemble_observables(&m, spec, seed, ws),
         Scenario::Model(m) => model_observables(&m, &spec.observables, seed, ws),
         Scenario::MpiSim(m) => mpisim_observables(&m, &spec.observables, seed),
     }
@@ -217,28 +217,22 @@ fn model_scalar(
 /// `<obs>_mean`/`<obs>_ci95`/`<obs>_min`/`<obs>_max` columns.
 ///
 /// Replica `rep` uses [`CampaignSpec::replica_seed`]`(index, rep)` for its
-/// model build *and* its initial condition — replica 0 is bit-for-bit the
-/// run a `replicas = 1` campaign would perform. Batched integration is
-/// bitwise identical to R independent runs (see `pom_core::PomEnsemble`), so
-/// the aggregates are as deterministic as the plain columns: independent
-/// of thread count, resume, and execution order.
+/// model build *and* its initial condition ([`ModelScenario::ensemble`]) —
+/// replica 0 is bit-for-bit the run a `replicas = 1` campaign would
+/// perform. Batched integration is bitwise identical to R independent runs
+/// (see `pom_core::PomEnsemble`), so the aggregates are as deterministic as
+/// the plain columns: independent of thread count, resume, and execution
+/// order.
 fn model_ensemble_observables(
     s: &ModelScenario,
     spec: &CampaignSpec,
-    index: usize,
+    seed: u64,
     ws: &mut SimWorkspace,
 ) -> Result<Vec<(String, f64)>, SweepError> {
     let r = spec.replicas;
     let wanted = &spec.observables;
     let opts = s.sim_options();
-    let mut members = Vec::with_capacity(r);
-    let mut inits = Vec::with_capacity(r);
-    for rep in 0..r {
-        let seed = spec.replica_seed(index, rep);
-        members.push(s.build(seed, true)?);
-        inits.push(s.initial_condition(seed));
-    }
-    let ensemble = PomEnsemble::new(members);
+    let (ensemble, inits) = s.ensemble(seed, r)?;
 
     let (summaries, probes) = if wanted.iter().any(Observable::needs_series) {
         let mut probes: Vec<RunSummaryProbe> = (0..r).map(|_| RunSummaryProbe::new()).collect();

@@ -20,8 +20,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use pom_core::{
-    InitialCondition, Normalization, Pom, PomBuilder, Potential, RhsKernel, SimOptions,
-    SolverChoice,
+    InitialCondition, Normalization, Pom, PomBuilder, PomEnsemble, Potential, RhsKernel,
+    SimOptions, SolverChoice,
 };
 use pom_kernels::Kernel;
 use pom_mpisim::{MpiProtocol, ProgramSpec, SimDelay, WorkSpec};
@@ -330,22 +330,17 @@ impl CampaignSpec {
                          substrate has no ensemble path",
                     ))
                 }
-                Scenario::Model(m) => {
-                    // Replicas differ only through their derived seeds. A
-                    // scenario whose seeds are all pinned (or unused)
-                    // would run R bitwise-identical copies — reject the
-                    // degenerate spec instead of reporting ci95 = 0.
-                    let init_seeded = matches!(m.init, InitSpec::Spread { seed: None, .. });
-                    let noise_seeded = m.noise_sigma.is_some() && m.noise_seed.is_none();
-                    if !init_seeded && !noise_seeded {
-                        return Err(spec_err(
-                            "campaign.replicas ≥ 2 would run identical replicas: nothing \
-                             varies per replica (init.kind = \"spread\" without a pinned \
-                             init.seed, or [noise] without a pinned noise.seed, is \
-                             required so each replica draws its own realization)",
-                        ));
-                    }
+                // R bitwise-identical copies would report ci95 = 0 as
+                // if it were statistics; reject the degenerate spec.
+                Scenario::Model(m) if !m.varies_per_replica() => {
+                    return Err(spec_err(
+                        "campaign.replicas ≥ 2 would run identical replicas: nothing \
+                         varies per replica (init.kind = \"spread\" without a pinned \
+                         init.seed, or [noise] without a pinned noise.seed, is \
+                         required so each replica draws its own realization)",
+                    ))
                 }
+                Scenario::Model(_) => {}
             }
         }
         Ok(spec)
@@ -399,12 +394,7 @@ impl CampaignSpec {
     /// replicas hash the point seed with their index (order-independent,
     /// like the point seeds themselves).
     pub fn replica_seed(&self, index: usize, replica: usize) -> u64 {
-        let point = self.point_seed(index);
-        if replica == 0 {
-            point
-        } else {
-            pom_noise::SplitMix64::hash3(point, replica as u64, 0x706f_6d2d_7265_706c)
-        }
+        replica_seed(self.point_seed(index), replica)
     }
 
     /// The result columns this campaign emits per point, in output order:
@@ -428,6 +418,18 @@ impl CampaignSpec {
                 })
                 .collect()
         }
+    }
+}
+
+/// Seed of replica `replica` of the point seeded `point_seed`: replica 0
+/// is the point seed itself, higher replicas hash it with their index.
+/// Every ensemble front end (`campaign.replicas`, `pom simulate
+/// replicas=R`) derives its members' seeds here.
+pub fn replica_seed(point_seed: u64, replica: usize) -> u64 {
+    if replica == 0 {
+        point_seed
+    } else {
+        pom_noise::SplitMix64::hash3(point_seed, replica as u64, 0x706f_6d2d_7265_706c)
     }
 }
 
@@ -674,6 +676,180 @@ pub enum InitSpec {
 }
 
 impl ModelScenario {
+    /// Resolve a model scenario tree (the `[model]`, `[topology]`,
+    /// `[init]`, `[noise]`, `[inject]`, `[sim]` and `[wave]` tables of a
+    /// spec, axis values already applied). Sweep points and `pom
+    /// simulate` both build their model through this one resolver.
+    pub fn from_value(tree: &Value) -> Result<Self, SweepError> {
+        if let Some(t) = tree.as_table() {
+            check_keys(
+                t,
+                &[
+                    "campaign", "model", "topology", "init", "noise", "inject", "sim", "wave",
+                ],
+                "spec",
+            )?;
+        }
+        if let Some(m) = tree.get("model").and_then(Value::as_table) {
+            check_section(m, "model", "model")?;
+        }
+
+        let n = get_usize(tree, "model.n", 16)?;
+        if n < 2 {
+            return Err(spec_err("model.n must be ≥ 2"));
+        }
+        let sigma = get_f64(tree, "model.sigma", 3.0)?;
+        let potential = match get_str(tree, "model.potential", "tanh") {
+            "tanh" => Potential::tanh(),
+            "desync" => Potential::desync(sigma),
+            "sin" | "kuramoto" => Potential::KuramotoSin,
+            other => {
+                return Err(spec_err(format!(
+                    "model.potential `{other}` (tanh|desync|sin)"
+                )))
+            }
+        };
+        let normalization = match get_str(tree, "model.norm", "degree") {
+            "degree" => Normalization::ByDegree,
+            "n" => Normalization::ByN,
+            other => return Err(spec_err(format!("model.norm `{other}` (degree|n)"))),
+        };
+        let kernel_name = get_str(tree, "model.kernel", "exact");
+        let kernel = RhsKernel::from_name(kernel_name)
+            .ok_or_else(|| spec_err(format!("model.kernel `{kernel_name}` (exact|sincos)")))?;
+        let rhs_threads = get_usize(tree, "model.rhs_threads", 1)?;
+
+        if let Some(t) = tree.get("topology").and_then(Value::as_table) {
+            check_section(t, "topology", "model")?;
+        }
+        let distances = get_distances(tree, "topology.distances", &[-1, 1])?;
+        let topology = match get_str(tree, "topology.kind", "ring") {
+            "ring" => Topology::ring(n, &distances),
+            "chain" => Topology::chain(n, &distances),
+            "all" | "all-to-all" => Topology::all_to_all(n),
+            "grid2d" => {
+                let nx = get_usize(tree, "topology.nx", 0)?;
+                let ny = get_usize(tree, "topology.ny", 0)?;
+                if nx * ny != n {
+                    return Err(spec_err(format!(
+                        "grid2d topology needs nx*ny == model.n ({nx}×{ny} != {n})"
+                    )));
+                }
+                let periodic = tree
+                    .get("topology.periodic")
+                    .map(|v| {
+                        v.as_bool()
+                            .ok_or_else(|| spec_err("topology.periodic must be a bool"))
+                    })
+                    .transpose()?
+                    .unwrap_or(false);
+                Topology::grid2d(nx, ny, periodic)
+            }
+            other => {
+                return Err(spec_err(format!(
+                    "topology.kind `{other}` (ring|chain|all-to-all|grid2d)"
+                )))
+            }
+        };
+
+        if let Some(t) = tree.get("init").and_then(Value::as_table) {
+            check_section(t, "init", "model")?;
+        }
+        let init = match get_str(tree, "init.kind", "spread") {
+            "sync" => InitSpec::Synchronized,
+            "spread" => InitSpec::Spread {
+                amplitude: get_f64(tree, "init.amplitude", 1.0)?,
+                seed: get_opt_u64(tree, "init.seed")?,
+            },
+            "wavefront" => InitSpec::Wavefront {
+                slope: get_f64(tree, "init.slope", 0.5)?,
+            },
+            other => {
+                return Err(spec_err(format!(
+                    "init.kind `{other}` (sync|spread|wavefront)"
+                )))
+            }
+        };
+
+        if let Some(t) = tree.get("noise").and_then(Value::as_table) {
+            check_section(t, "noise", "model")?;
+        }
+        if let Some(t) = tree.get("inject").and_then(Value::as_table) {
+            check_section(t, "inject", "model")?;
+        }
+        let tcomp = get_f64(tree, "model.tcomp", 0.9)?;
+        let tcomm = get_f64(tree, "model.tcomm", 0.1)?;
+        let inject = match tree.get("inject") {
+            None => None,
+            Some(_) => {
+                let rank = get_usize(tree, "inject.rank", 0)?;
+                if rank >= n {
+                    return Err(spec_err(format!(
+                        "inject.rank {rank} out of range (n = {n})"
+                    )));
+                }
+                Some(ModelInject {
+                    rank,
+                    t_start: get_f64(tree, "inject.at", 2.0)?,
+                    duration: get_f64(tree, "inject.len", 3.0)?,
+                    extra: get_f64(tree, "inject.extra", tcomp + tcomm)?,
+                })
+            }
+        };
+
+        if let Some(t) = tree.get("sim").and_then(Value::as_table) {
+            check_section(t, "sim", "model")?;
+        }
+        let h = get_opt_f64(tree, "sim.h")?;
+        let solver = match tree.get("sim.solver").map(|v| {
+            v.as_str()
+                .ok_or_else(|| spec_err("sim.solver must be a string"))
+        }) {
+            None => None,
+            Some(name) => match name? {
+                "auto" => None,
+                "dopri5" => Some(SolverChoice::Dopri5 {
+                    rtol: 1e-8,
+                    atol: 1e-10,
+                }),
+                "rk4" => {
+                    let h = h.ok_or_else(|| {
+                        spec_err("sim.solver = \"rk4\" needs an explicit step `sim.h`")
+                    })?;
+                    if !(h.is_finite() && h > 0.0) {
+                        return Err(spec_err("sim.h must be a positive finite number"));
+                    }
+                    Some(SolverChoice::FixedRk4 { h })
+                }
+                other => return Err(spec_err(format!("sim.solver `{other}` (auto|dopri5|rk4)"))),
+            },
+        };
+        if h.is_some() && !matches!(solver, Some(SolverChoice::FixedRk4 { .. })) {
+            return Err(spec_err("sim.h only applies with sim.solver = \"rk4\""));
+        }
+
+        Ok(Self {
+            n,
+            potential,
+            tcomp,
+            tcomm,
+            coupling: get_opt_f64(tree, "model.coupling")?,
+            kappa: get_opt_f64(tree, "model.kappa")?,
+            normalization,
+            kernel,
+            rhs_threads,
+            topology,
+            init,
+            noise_sigma: get_opt_f64(tree, "noise.sigma")?,
+            noise_seed: get_opt_u64(tree, "noise.seed")?,
+            inject,
+            t_end: get_f64(tree, "sim.t_end", 100.0)?,
+            samples: get_usize(tree, "sim.samples", 400)?,
+            solver,
+            wave: parse_wave(tree, 0.05)?,
+        })
+    }
+
     /// Resolve the initial condition using the per-point seed where the
     /// spec did not pin one.
     pub fn initial_condition(&self, point_seed: u64) -> InitialCondition {
@@ -685,6 +861,32 @@ impl ModelScenario {
             },
             InitSpec::Wavefront { slope } => InitialCondition::Wavefront { slope },
         }
+    }
+
+    /// Whether replicas of this scenario differ: they differ only through
+    /// their derived seeds, so a spread init or white jitter without a
+    /// pinned seed is needed, or R replicas run bitwise-identical copies.
+    pub fn varies_per_replica(&self) -> bool {
+        matches!(self.init, InitSpec::Spread { seed: None, .. })
+            || (self.noise_sigma.is_some() && self.noise_seed.is_none())
+    }
+
+    /// The `replicas`-member lockstep ensemble of the point seeded
+    /// `point_seed`, with one initial condition per member. Member `rep`
+    /// is built and initialized from [`replica_seed`]`(point_seed, rep)`,
+    /// so member 0 is the single run of that point.
+    pub fn ensemble(
+        &self,
+        point_seed: u64,
+        replicas: usize,
+    ) -> Result<(PomEnsemble, Vec<InitialCondition>), SweepError> {
+        let seeds = (0..replicas).map(|rep| replica_seed(point_seed, rep));
+        let members = seeds
+            .clone()
+            .map(|seed| self.build(seed, true))
+            .collect::<Result<_, _>>()?;
+        let inits = seeds.map(|seed| self.initial_condition(seed)).collect();
+        Ok((PomEnsemble::new(members), inits))
     }
 
     /// Build the model; `with_inject = false` yields the baseline twin
@@ -847,7 +1049,7 @@ impl Scenario {
     pub(crate) fn from_value(tree: &Value) -> Result<Self, SweepError> {
         match workload_kind(tree) {
             "mpisim" => Ok(Scenario::MpiSim(Box::new(mpisim_from_value(tree)?))),
-            "model" => Ok(Scenario::Model(Box::new(model_from_value(tree)?))),
+            "model" => Ok(Scenario::Model(Box::new(ModelScenario::from_value(tree)?))),
             other => Err(spec_err(format!("unknown campaign.workload `{other}`"))),
         }
     }
@@ -925,176 +1127,6 @@ fn parse_wave(tree: &Value, default_threshold: f64) -> Result<WaveFit, SweepErro
         threshold: get_f64(tree, "wave.threshold", default_threshold)?,
         source: get_opt_usize(tree, "wave.source")?,
         max_distance: get_opt_usize(tree, "wave.max_distance")?,
-    })
-}
-
-fn model_from_value(tree: &Value) -> Result<ModelScenario, SweepError> {
-    if let Some(t) = tree.as_table() {
-        check_keys(
-            t,
-            &[
-                "campaign", "model", "topology", "init", "noise", "inject", "sim", "wave",
-            ],
-            "spec",
-        )?;
-    }
-    if let Some(m) = tree.get("model").and_then(Value::as_table) {
-        check_section(m, "model", "model")?;
-    }
-
-    let n = get_usize(tree, "model.n", 16)?;
-    if n < 2 {
-        return Err(spec_err("model.n must be ≥ 2"));
-    }
-    let sigma = get_f64(tree, "model.sigma", 3.0)?;
-    let potential = match get_str(tree, "model.potential", "tanh") {
-        "tanh" => Potential::tanh(),
-        "desync" => Potential::desync(sigma),
-        "sin" | "kuramoto" => Potential::KuramotoSin,
-        other => {
-            return Err(spec_err(format!(
-                "model.potential `{other}` (tanh|desync|sin)"
-            )))
-        }
-    };
-    let normalization = match get_str(tree, "model.norm", "degree") {
-        "degree" => Normalization::ByDegree,
-        "n" => Normalization::ByN,
-        other => return Err(spec_err(format!("model.norm `{other}` (degree|n)"))),
-    };
-    let kernel_name = get_str(tree, "model.kernel", "exact");
-    let kernel = RhsKernel::from_name(kernel_name)
-        .ok_or_else(|| spec_err(format!("model.kernel `{kernel_name}` (exact|sincos)")))?;
-    let rhs_threads = get_usize(tree, "model.rhs_threads", 1)?;
-
-    if let Some(t) = tree.get("topology").and_then(Value::as_table) {
-        check_section(t, "topology", "model")?;
-    }
-    let distances = get_distances(tree, "topology.distances", &[-1, 1])?;
-    let topology = match get_str(tree, "topology.kind", "ring") {
-        "ring" => Topology::ring(n, &distances),
-        "chain" => Topology::chain(n, &distances),
-        "all" | "all-to-all" => Topology::all_to_all(n),
-        "grid2d" => {
-            let nx = get_usize(tree, "topology.nx", 0)?;
-            let ny = get_usize(tree, "topology.ny", 0)?;
-            if nx * ny != n {
-                return Err(spec_err(format!(
-                    "grid2d topology needs nx*ny == model.n ({nx}×{ny} != {n})"
-                )));
-            }
-            let periodic = tree
-                .get("topology.periodic")
-                .map(|v| {
-                    v.as_bool()
-                        .ok_or_else(|| spec_err("topology.periodic must be a bool"))
-                })
-                .transpose()?
-                .unwrap_or(false);
-            Topology::grid2d(nx, ny, periodic)
-        }
-        other => {
-            return Err(spec_err(format!(
-                "topology.kind `{other}` (ring|chain|all-to-all|grid2d)"
-            )))
-        }
-    };
-
-    if let Some(t) = tree.get("init").and_then(Value::as_table) {
-        check_section(t, "init", "model")?;
-    }
-    let init = match get_str(tree, "init.kind", "spread") {
-        "sync" => InitSpec::Synchronized,
-        "spread" => InitSpec::Spread {
-            amplitude: get_f64(tree, "init.amplitude", 1.0)?,
-            seed: get_opt_u64(tree, "init.seed")?,
-        },
-        "wavefront" => InitSpec::Wavefront {
-            slope: get_f64(tree, "init.slope", 0.5)?,
-        },
-        other => {
-            return Err(spec_err(format!(
-                "init.kind `{other}` (sync|spread|wavefront)"
-            )))
-        }
-    };
-
-    if let Some(t) = tree.get("noise").and_then(Value::as_table) {
-        check_section(t, "noise", "model")?;
-    }
-    if let Some(t) = tree.get("inject").and_then(Value::as_table) {
-        check_section(t, "inject", "model")?;
-    }
-    let tcomp = get_f64(tree, "model.tcomp", 0.9)?;
-    let tcomm = get_f64(tree, "model.tcomm", 0.1)?;
-    let inject = match tree.get("inject") {
-        None => None,
-        Some(_) => {
-            let rank = get_usize(tree, "inject.rank", 0)?;
-            if rank >= n {
-                return Err(spec_err(format!(
-                    "inject.rank {rank} out of range (n = {n})"
-                )));
-            }
-            Some(ModelInject {
-                rank,
-                t_start: get_f64(tree, "inject.at", 2.0)?,
-                duration: get_f64(tree, "inject.len", 3.0)?,
-                extra: get_f64(tree, "inject.extra", tcomp + tcomm)?,
-            })
-        }
-    };
-
-    if let Some(t) = tree.get("sim").and_then(Value::as_table) {
-        check_section(t, "sim", "model")?;
-    }
-    let h = get_opt_f64(tree, "sim.h")?;
-    let solver = match tree.get("sim.solver").map(|v| {
-        v.as_str()
-            .ok_or_else(|| spec_err("sim.solver must be a string"))
-    }) {
-        None => None,
-        Some(name) => match name? {
-            "auto" => None,
-            "dopri5" => Some(SolverChoice::Dopri5 {
-                rtol: 1e-8,
-                atol: 1e-10,
-            }),
-            "rk4" => {
-                let h = h.ok_or_else(|| {
-                    spec_err("sim.solver = \"rk4\" needs an explicit step `sim.h`")
-                })?;
-                if !(h.is_finite() && h > 0.0) {
-                    return Err(spec_err("sim.h must be a positive finite number"));
-                }
-                Some(SolverChoice::FixedRk4 { h })
-            }
-            other => return Err(spec_err(format!("sim.solver `{other}` (auto|dopri5|rk4)"))),
-        },
-    };
-    if h.is_some() && !matches!(solver, Some(SolverChoice::FixedRk4 { .. })) {
-        return Err(spec_err("sim.h only applies with sim.solver = \"rk4\""));
-    }
-
-    Ok(ModelScenario {
-        n,
-        potential,
-        tcomp,
-        tcomm,
-        coupling: get_opt_f64(tree, "model.coupling")?,
-        kappa: get_opt_f64(tree, "model.kappa")?,
-        normalization,
-        kernel,
-        rhs_threads,
-        topology,
-        init,
-        noise_sigma: get_opt_f64(tree, "noise.sigma")?,
-        noise_seed: get_opt_u64(tree, "noise.seed")?,
-        inject,
-        t_end: get_f64(tree, "sim.t_end", 100.0)?,
-        samples: get_usize(tree, "sim.samples", 400)?,
-        solver,
-        wave: parse_wave(tree, 0.05)?,
     })
 }
 

@@ -117,7 +117,7 @@ impl Value {
 
     /// Set a dotted path, creating intermediate tables. Errors if a
     /// non-table intermediate exists.
-    pub(crate) fn set(&mut self, path: &str, value: Value) -> Result<(), ParseError> {
+    pub fn set(&mut self, path: &str, value: Value) -> Result<(), ParseError> {
         let mut cur = self;
         let segs: Vec<&str> = path.split('.').collect();
         for (i, seg) in segs.iter().enumerate() {
