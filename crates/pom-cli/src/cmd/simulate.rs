@@ -8,7 +8,7 @@ use pom_analysis::Welford;
 use pom_core::{InitialCondition, NoObserver, Pom};
 use pom_sweep::registry::Parsed;
 use pom_sweep::spec::ModelScenario;
-use pom_sweep::{ArgError, Value};
+use pom_sweep::{ArgError, SweepError, Value};
 use pom_viz::{ascii_chart, circle_ascii, phase_heatmap_ascii};
 
 use super::CliError;
@@ -31,7 +31,10 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
             }));
         }
     }
-    let scenario = ModelScenario::from_value(&scenario_tree(p))?;
+    let scenario = ModelScenario::from_value(&scenario_tree(p)).map_err(|e| match e {
+        SweepError::Spec(msg) => CliError::Args(with_cli_keys(&msg)),
+        other => other.into(),
+    })?;
     // `seed=` is the point seed: replica 0 (and the single run) uses it
     // verbatim, exactly like a sweep point.
     let seed = p.u64("seed");
@@ -130,53 +133,106 @@ pub(crate) fn run(p: &Parsed) -> Result<String, CliError> {
     Ok(out)
 }
 
+/// Each `simulate` key and the sweep-spec key it sets.
+const SPEC_KEYS: [(&str, &str); 22] = [
+    ("n", "model.n"),
+    ("potential", "model.potential"),
+    ("norm", "model.norm"),
+    ("kernel", "model.kernel"),
+    ("sigma", "model.sigma"),
+    ("tcomp", "model.tcomp"),
+    ("tcomm", "model.tcomm"),
+    ("coupling", "model.coupling"),
+    ("kappa", "model.kappa"),
+    ("rhs-threads", "model.rhs_threads"),
+    ("topology", "topology.kind"),
+    ("distances", "topology.distances"),
+    ("init", "init.kind"),
+    ("amplitude", "init.amplitude"),
+    ("slope", "init.slope"),
+    ("noise", "noise.sigma"),
+    ("delay_rank", "inject.rank"),
+    ("delay_at", "inject.at"),
+    ("delay_len", "inject.len"),
+    ("t_end", "sim.t_end"),
+    ("samples", "sim.samples"),
+    ("h", "sim.h"),
+];
+
 /// The one-point scenario tree of a `simulate` invocation: each CLI key
-/// lands on the sweep-spec key it means, so the model is resolved by the
-/// same [`ModelScenario::from_value`] a `pom sweep` point goes through.
-/// Optional keys enter the tree only when given.
+/// lands on the sweep-spec key it means ([`SPEC_KEYS`]), so the model is
+/// resolved by the same [`ModelScenario::from_value`] a `pom sweep` point
+/// goes through. Optional keys enter the tree only when given.
 fn scenario_tree(p: &Parsed) -> Value {
     let mut tree = Value::Table(Default::default());
-    let mut set = |path: &str, v: Value| {
+    let mut set = |key: &str, v: Value| {
+        let (_, path) = SPEC_KEYS
+            .iter()
+            .find(|(cli, _)| *cli == key)
+            .expect("every simulate key has a spec key");
         tree.set(path, v).expect("fresh tables along every path");
     };
     let int = |name: &str| Value::Int(p.u64(name) as i64);
     let float = |name: &str| Value::Float(p.f64(name));
     let text = |name: &str| Value::Str(p.str(name).to_string());
 
-    set("model.n", int("n"));
-    for key in ["potential", "norm", "kernel"] {
-        set(&format!("model.{key}"), text(key));
+    set("n", int("n"));
+    for key in ["potential", "norm", "kernel", "topology", "init"] {
+        set(key, text(key));
     }
-    for key in ["sigma", "tcomp", "tcomm"] {
-        set(&format!("model.{key}"), float(key));
+    for key in ["sigma", "tcomp", "tcomm", "amplitude", "slope", "t_end"] {
+        set(key, float(key));
     }
     for key in ["coupling", "kappa"] {
         if let Some(v) = p.opt_f64(key) {
-            set(&format!("model.{key}"), Value::Float(v));
+            set(key, Value::Float(v));
         }
     }
-    set("model.rhs_threads", int("rhs-threads"));
-    set("topology.kind", text("topology"));
+    set("rhs-threads", int("rhs-threads"));
     let distances = p.ints("distances").iter().map(|&d| Value::Int(d.into()));
-    set("topology.distances", Value::Array(distances.collect()));
-    set("init.kind", text("init"));
-    set("init.amplitude", float("amplitude"));
-    set("init.slope", float("slope"));
+    set("distances", Value::Array(distances.collect()));
     if p.f64("noise") > 0.0 {
-        set("noise.sigma", float("noise"));
+        set("noise", float("noise"));
     }
     if let Some(rank) = p.opt_u64("delay_rank") {
-        set("inject.rank", Value::Int(rank as i64));
-        set("inject.at", float("delay_at"));
-        set("inject.len", float("delay_len"));
+        set("delay_rank", Value::Int(rank as i64));
+        set("delay_at", float("delay_at"));
+        set("delay_len", float("delay_len"));
     }
-    set("sim.t_end", float("t_end"));
-    set("sim.samples", int("samples"));
+    set("samples", int("samples"));
     if let Some(h) = p.opt_f64("h") {
-        set("sim.solver", Value::Str("rk4".to_string()));
-        set("sim.h", Value::Float(h));
+        set("h", Value::Float(h));
+        tree.set("sim.solver", Value::Str("rk4".to_string()))
+            .expect("fresh tables along every path");
     }
     tree
+}
+
+/// A resolver message with every sweep-spec key of [`SPEC_KEYS`] renamed
+/// to the `simulate` key that set it (`inject.rank 99 out of range` →
+/// `delay_rank 99 out of range`).
+fn with_cli_keys(msg: &str) -> String {
+    let mut msg = msg.to_string();
+    for (cli, spec) in SPEC_KEYS {
+        let mut out = String::with_capacity(msg.len());
+        let mut last = 0;
+        for (at, _) in msg.match_indices(spec) {
+            let end = at + spec.len();
+            // `model.n` must not match the head of `model.norm`.
+            let whole = msg[end..]
+                .chars()
+                .next()
+                .is_none_or(|c| !(c.is_alphanumeric() || c == '_'));
+            if whole {
+                out.push_str(&msg[last..at]);
+                out.push_str(cli);
+                last = end;
+            }
+        }
+        out.push_str(&msg[last..]);
+        msg = out;
+    }
+    msg
 }
 
 /// The `simulate replicas=R` report: run an R-member lockstep ensemble

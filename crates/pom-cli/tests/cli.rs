@@ -483,13 +483,25 @@ fn simulate_rejects_bad_potential() {
     let e = run_cli(["simulate", "potential=quux"]).unwrap_err();
     assert!(e.to_string().contains("tanh"));
     // Keys resolve like a sweep point's: a delayed rank outside the
-    // ring and a one-oscillator model are errors, not silent fallbacks.
-    for (args, says) in [
-        (["delay_rank=99", "n=8"], "inject.rank 99 out of range"),
-        (["n=1", "t_end=5"], "model.n must be ≥ 2"),
+    // ring and a one-oscillator model are errors, not silent fallbacks,
+    // and the errors name the simulate key, not the sweep-spec key.
+    for (args, says, spec_key) in [
+        (
+            ["delay_rank=99", "n=8"],
+            "configuration error: delay_rank 99 out of range (n = 8)",
+            "inject.rank",
+        ),
+        (
+            ["n=1", "t_end=5"],
+            "configuration error: n must be ≥ 2",
+            "model.n",
+        ),
     ] {
-        let e = run_cli(["simulate"].into_iter().chain(args)).unwrap_err();
-        assert!(e.to_string().contains(says), "{args:?}: {e}");
+        let e = run_cli(["simulate"].into_iter().chain(args))
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains(says), "{args:?}: {e}");
+        assert!(!e.contains(spec_key), "{args:?}: {e}");
     }
 }
 

@@ -281,6 +281,10 @@ impl OdeSystem for PomEnsemble {
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
         self.rhs().ode(t, y, dydt);
     }
+
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        OdeSystem::for_chunks(&self.members[0], out, f)
+    }
 }
 
 impl DdeSystem for PomEnsemble {
@@ -290,6 +294,10 @@ impl DdeSystem for PomEnsemble {
 
     fn eval(&self, t: f64, y: &[f64], hist: &dyn PhaseHistory, dydt: &mut [f64]) {
         self.rhs().dde(t, y, hist, dydt);
+    }
+
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        OdeSystem::for_chunks(&self.members[0], out, f)
     }
 }
 

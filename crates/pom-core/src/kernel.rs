@@ -18,7 +18,8 @@
 //!   path;
 //! * a branch-free polynomial `sin`/`cos` array pass (Chebyshev fits on
 //!   `|r| ≤ π/2` after modulo-π reduction, ≤ 1e-13 absolute error,
-//!   runtime-dispatched to an AVX2+FMA version where the CPU has one);
+//!   runtime-dispatched to AVX-512 or AVX2 recompilations where the CPU
+//!   has them);
 //! * the split-kernel row loops over either a [`pom_topology::RingStencil`]
 //!   (index-free, wrap rows peeled off the contiguous bulk) or a flat
 //!   [`pom_topology::CsrView`], plus the noise-free row finalization —
@@ -35,11 +36,12 @@
 //! the default and what reproduction tests pin against.
 //!
 //! `SinCosSplit` changes the arithmetic (split trig identity, polynomial
-//! kernels, fixed-by-offset accumulation order, FMA contraction where the
-//! CPU offers it). It stays within `~1e-12` of `Exact` per evaluation
-//! (property-tested) and is *deterministic on a given machine* — bitwise
-//! identical across reruns and across `rhs_threads` values — but not
-//! bitwise portable across CPUs. Potentials without a sine structure
+//! kernels, fixed-by-offset accumulation order). It stays within `~1e-12`
+//! of `Exact` per evaluation (property-tested) and is bitwise identical
+//! across reruns and `rhs_threads` values. Its SIMD tiers recompile the
+//! scalar bodies without fused multiply-adds, so every tier gives the
+//! scalar body's bits and a run does not depend on which tier the CPU
+//! selects. Potentials without a sine structure
 //! (`Tanh`) fall back to the exact per-pair math under this kernel and
 //! still benefit from flat-CSR iteration and chunked parallelism.
 
@@ -422,24 +424,53 @@ fn finalize_rows_body<W: Width>(omega: f64, scale: &[f64], w: W, out: &mut [f64]
 // ---------------------------------------------------------------------------
 //
 // The bodies above are plain scalar Rust; compiled for the x86-64 baseline
-// they vectorize to SSE2 without FMA. Recompiling the same bodies with
-// `#[target_feature(enable = "avx2,fma")]` lets LLVM emit 4-wide FMA code,
-// roughly halving the split kernel's cost — worth a runtime dispatch,
-// since the selection is a process-wide constant it cannot change results
-// between threads or calls. (FMA contraction does change the low bits
-// versus the non-FMA build; that machine dependence is part of the
-// `SinCosSplit` accuracy policy and never applies to `Exact`.)
+// they vectorize to 2-wide SSE2. Recompiling the same bodies with
+// `#[target_feature(enable = "avx2,fma")]` lets LLVM emit 4-wide code,
+// roughly halving the split kernel's cost, and with `avx512f` added
+// 8-wide code. Rust never contracts `a * b + c` into a fused
+// multiply-add and the bodies call no `mul_add`, so every tier performs
+// the same IEEE operations on every element: each tier's output is
+// bitwise the scalar body's (pinned by a unit test), and the selection
+// cannot change results between CPUs, threads or calls.
+
+/// The widest instruction-set tier the CPU offers.
+#[cfg(target_arch = "x86_64")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum SimdTier {
+    Baseline,
+    Avx2,
+    Avx512,
+}
 
 #[cfg(target_arch = "x86_64")]
-#[inline]
-fn have_avx2_fma() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+impl SimdTier {
+    fn detect() -> Self {
+        use std::arch::is_x86_feature_detected as has;
+        if has!("avx512f") && has!("avx2") && has!("fma") {
+            SimdTier::Avx512
+        } else if has!("avx2") && has!("fma") {
+            SimdTier::Avx2
+        } else {
+            SimdTier::Baseline
+        }
+    }
+
+    /// The tier the front doors run: [`SimdTier::detect`], lowered on
+    /// this thread by [`tests::with_tier`] in unit tests.
+    #[inline]
+    fn current() -> Self {
+        #[cfg(test)]
+        if let Some(cap) = tests::TIER_CAP.with(std::cell::Cell::get) {
+            return cap.min(Self::detect());
+        }
+        Self::detect()
+    }
 }
 
 /// Defines a `pub(crate)` front door for a scalar `*_body` kernel that
-/// re-dispatches to an AVX2+FMA recompilation of the same body when the
-/// CPU has the features. One definition per kernel — the dispatch policy
-/// (feature set, detection, fallback) lives here once.
+/// re-dispatches to an AVX-512 or AVX2 recompilation of the same body
+/// when the CPU has the features. One definition per kernel — the
+/// dispatch policy (feature sets, detection, fallback) lives here once.
 macro_rules! simd_dispatched {
     (
         $(#[$doc:meta])*
@@ -450,15 +481,23 @@ macro_rules! simd_dispatched {
         pub(crate) fn $name$(<$($gen: $bound),+>)?($($arg: $ty),*) {
             #[cfg(target_arch = "x86_64")]
             {
+                #[target_feature(enable = "avx512f,avx2,fma")]
+                #[allow(clippy::too_many_arguments)]
+                unsafe fn avx512$(<$($gen: $bound),+>)?($($arg: $ty),*) {
+                    $body($($arg),*)
+                }
                 #[target_feature(enable = "avx2,fma")]
                 #[allow(clippy::too_many_arguments)]
                 unsafe fn avx2$(<$($gen: $bound),+>)?($($arg: $ty),*) {
                     $body($($arg),*)
                 }
-                if have_avx2_fma() {
+                match SimdTier::current() {
                     // SAFETY: the required CPU features were detected at
                     // runtime.
-                    return unsafe { avx2($($arg),*) };
+                    SimdTier::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above.
+                    SimdTier::Avx2 => return unsafe { avx2($($arg),*) },
+                    SimdTier::Baseline => {}
                 }
             }
             $body($($arg),*)
@@ -507,6 +546,86 @@ simd_dispatched! {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pom_topology::Topology;
+
+    #[cfg(target_arch = "x86_64")]
+    thread_local! {
+        /// Caps [`SimdTier::current`] on this thread (see [`with_tier`]).
+        pub(super) static TIER_CAP: std::cell::Cell<Option<SimdTier>> =
+            const { std::cell::Cell::new(None) };
+    }
+
+    /// Run `f` with this thread's front doors capped at `tier` (or the
+    /// CPU's best, if lower).
+    #[cfg(target_arch = "x86_64")]
+    fn with_tier<T>(tier: SimdTier, f: impl FnOnce() -> T) -> T {
+        TIER_CAP.with(|c| c.set(Some(tier)));
+        let out = f();
+        TIER_CAP.with(|c| c.set(None));
+        out
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every front door against its scalar body at width `w`, for a
+    /// pair term `p` and its wavenumber `k`, on whole and partial row
+    /// ranges (the partial one crosses the ring's wrap).
+    fn front_doors_match_bodies_at<P: PairTerm, W: Width>(p: P, k: f64, w: W) {
+        let n = 67;
+        let r = w.get();
+        let topo = Topology::ring(n, &[-3, -1, 1, 2]);
+        let stencil = topo.ring_stencil().expect("a ring has a stencil");
+        let mut theta: Vec<f64> = (0..n * r)
+            .map(|e| (e as f64 * 0.913).sin() * 60.0 + e as f64 * 1e-3)
+            .collect();
+        theta[7] = 3.5e6; // beyond ARG_LIMIT: the libm fix-up
+        let len = n * r;
+        let (mut s, mut c) = (vec![0.0; len], vec![0.0; len]);
+        let (mut s_ref, mut c_ref) = (vec![0.0; len], vec![0.0; len]);
+        sincos_pass(k, &theta, &mut s, &mut c);
+        sincos_pass_body(k, &theta, &mut s_ref, &mut c_ref);
+        assert_eq!(
+            (bits(&s), bits(&c)),
+            (bits(&s_ref), bits(&c_ref)),
+            "sincos_pass"
+        );
+
+        let scale: Vec<f64> = (0..n).map(|i| 0.25 + i as f64 * 0.01).collect();
+        for rows in [0..n, 5..n - 1] {
+            let m = rows.len() * r;
+            let (mut out, mut want) = (vec![0.0; m], vec![0.0; m]);
+            split_rows_stencil(p, &stencil, w, &theta, &s, &c, rows.clone(), &mut out);
+            split_rows_stencil_body(p, &stencil, w, &theta, &s, &c, rows.clone(), &mut want);
+            assert_eq!(bits(&out), bits(&want), "stencil rows {rows:?}");
+            split_rows_csr(p, topo.csr(), w, &theta, &s, &c, rows.clone(), &mut out);
+            split_rows_csr_body(p, topo.csr(), w, &theta, &s, &c, rows.clone(), &mut want);
+            assert_eq!(bits(&out), bits(&want), "CSR rows {rows:?}");
+            finalize_rows(0.7, &scale[rows.clone()], w, &mut out);
+            finalize_rows_body(0.7, &scale[rows.clone()], w, &mut want);
+            assert_eq!(bits(&out), bits(&want), "finalize rows {rows:?}");
+        }
+    }
+
+    fn front_doors_match_bodies() {
+        let sigma = 2.5;
+        let k = 1.5 * std::f64::consts::PI / sigma;
+        front_doors_match_bodies_at(DesyncPair { sigma }, k, One);
+        front_doors_match_bodies_at(DesyncPair { sigma }, k, 5usize);
+        front_doors_match_bodies_at(SinPair, 1.0, One);
+        front_doors_match_bodies_at(SinPair, 1.0, 5usize);
+    }
+
+    #[test]
+    fn every_simd_tier_gives_the_scalar_bodies_bits() {
+        #[cfg(target_arch = "x86_64")]
+        for tier in [SimdTier::Baseline, SimdTier::Avx2, SimdTier::Avx512] {
+            with_tier(tier, front_doors_match_bodies);
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        front_doors_match_bodies();
+    }
 
     #[test]
     fn sincos_pass_matches_libm_within_policy() {

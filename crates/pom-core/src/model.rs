@@ -8,7 +8,7 @@
 use std::f64::consts::TAU;
 use std::sync::{Arc, Mutex};
 
-use pom_kernels::ChunkPool;
+use pom_kernels::{ChunkPool, DisjointSliceMut};
 use pom_noise::{InteractionNoise, LocalNoise};
 use pom_ode::dde::{DdeSystem, PhaseHistory};
 use pom_ode::OdeSystem;
@@ -175,6 +175,13 @@ impl Pom {
         TAU / cycle.max(self.min_cycle)
     }
 
+    /// The worker pool of this model's RHS: the configured pool when the
+    /// model has at least [`MIN_PAR_ROWS`] rows, else `None` (inline).
+    #[inline]
+    pub(crate) fn row_pool(&self) -> Option<&ChunkPool> {
+        self.pool.as_ref().filter(|_| self.n() >= MIN_PAR_ROWS)
+    }
+
     /// This model as an ensemble of one, at compile-time width one.
     fn rhs(&self) -> Rhs<'_, One> {
         Rhs {
@@ -194,6 +201,21 @@ impl OdeSystem for Pom {
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
         self.rhs().ode(t, y, dydt);
     }
+
+    /// Chunks on the RHS worker pool when the rows use it (at least
+    /// ~2k oscillators and `rhs_threads > 1`), for a state of any length
+    /// (this model's `n`, or `n·R` for an ensemble it leads).
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        let Some(pool) = self.row_pool() else {
+            return f(0, out);
+        };
+        let len = out.len();
+        let shared = DisjointSliceMut::new(out);
+        pool.run(len, &|_slot, range| {
+            // SAFETY: `run` hands each slot a disjoint range of `0..len`.
+            f(range.start, unsafe { shared.range_mut(range) })
+        });
+    }
 }
 
 impl DdeSystem for Pom {
@@ -203,6 +225,10 @@ impl DdeSystem for Pom {
 
     fn eval(&self, t: f64, y: &[f64], hist: &dyn PhaseHistory, dydt: &mut [f64]) {
         self.rhs().dde(t, y, hist, dydt);
+    }
+
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        OdeSystem::for_chunks(self, out, f)
     }
 }
 

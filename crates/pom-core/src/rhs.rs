@@ -28,7 +28,7 @@ use pom_kernels::{ChunkPool, DisjointSliceMut};
 use pom_ode::dde::PhaseHistory;
 
 use crate::kernel::{self, DesyncPair, PairTerm, RhsKernel, SinPair, SplitScratch, Width};
-use crate::model::{Pom, MIN_PAR_ROWS};
+use crate::model::Pom;
 use crate::potential::Potential;
 
 /// The delay fields' lattice nodes, aligned with the CSR edges: one
@@ -92,9 +92,9 @@ impl<W: Width> Rhs<'_, W> {
     #[inline]
     fn par_rows(&self, f: impl Fn(usize, Range<usize>) + Sync) {
         let m0 = self.lead();
-        match &m0.pool {
-            Some(pool) if m0.n() >= MIN_PAR_ROWS => pool.run(m0.n(), &f),
-            _ => f(0, 0..m0.n()),
+        match m0.row_pool() {
+            Some(pool) => pool.run(m0.n(), &f),
+            None => f(0, 0..m0.n()),
         }
     }
 
@@ -302,7 +302,7 @@ impl<W: Width> Rhs<'_, W> {
         // spaced a cache line apart: slots that shared a line would stall
         // each other on every neighbor.
         let stride = |r: usize| r + 8;
-        let slots = m0.pool.as_ref().map_or(1, ChunkPool::threads);
+        let slots = m0.row_pool().map_or(1, ChunkPool::threads);
         let mut guard = self.scratch.lock().expect("rhs scratch");
         let (taus, phases, nodes) = guard.delay_parts(slots * stride(self.width.get()));
         self.refresh_nodes(nodes, t);

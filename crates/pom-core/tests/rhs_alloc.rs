@@ -3,8 +3,12 @@
 //! workers included) by one `OdeSystem::eval` or `DdeSystem::eval` after a
 //! warm-up evaluation has grown the scratch, and by delay evaluations in
 //! another lattice cell of the delay field than the warm-up's, which
-//! refresh the delay node table in place. This binary holds a single
-//! `#[test]`, so no other test allocates while a window is counted.
+//! refresh the delay node table in place. Every case is counted with
+//! pom-obs instrumentation off and on (the pool then times each slot
+//! into counters it allocated once). A whole RK4 step, whose stage
+//! arithmetic runs on the same pool, is counted too. This binary holds a
+//! single `#[test]`, so no other test allocates while a window is
+//! counted.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
@@ -12,7 +16,7 @@ use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use pom_core::{Pom, PomBuilder, PomEnsemble, Potential, RhsKernel};
 use pom_noise::{RandomCommDelay, WhiteJitter};
 use pom_ode::dde::{DdeSystem, HistoryBuffer, InitialHistory};
-use pom_ode::OdeSystem;
+use pom_ode::{OdeSystem, Rk4, Stepper, Workspace};
 use pom_topology::Topology;
 
 struct Counting;
@@ -56,6 +60,17 @@ fn ode_bytes(sys: &impl OdeSystem) -> usize {
     second_eval_bytes(|t| sys.eval(t, &y, &mut dy))
 }
 
+/// Bytes allocated by the second of two RK4 steps on one workspace.
+fn rk4_step_bytes(sys: &impl OdeSystem) -> usize {
+    let y = state(sys.dim());
+    let mut y_out = vec![0.0; sys.dim()];
+    let mut ws = Workspace::new();
+    second_eval_bytes(|t| {
+        let (stage, _) = ws.split();
+        Rk4.step(sys, t, &y, 0.01, &mut y_out, stage);
+    })
+}
+
 /// The history holds two knots, so delayed samples interpolate.
 fn dde_bytes(sys: &impl DdeSystem) -> usize {
     let y = state(sys.dim());
@@ -90,7 +105,11 @@ fn rhs_evaluation_allocates_nothing() {
             failures.push(format!("{what}: {bytes} B"));
         }
     };
-    for kernel in [RhsKernel::Exact, RhsKernel::SinCosSplit] {
+    for (obs, kernel) in [false, true]
+        .into_iter()
+        .flat_map(|obs| [RhsKernel::Exact, RhsKernel::SinCosSplit].map(|k| (obs, k)))
+    {
+        pom_obs::set_enabled(obs);
         for local_noise in [false, true] {
             for threads in [1, 2] {
                 // `delay_seed` switches on the delay path.
@@ -109,8 +128,12 @@ fn rhs_evaluation_allocates_nothing() {
                     }
                     b.build().unwrap()
                 };
-                let case = format!("{kernel:?} noise={local_noise} threads={threads}");
+                let case = format!("{kernel:?} noise={local_noise} threads={threads} obs={obs}");
                 check(format!("Pom ODE {case}"), ode_bytes(&member(0, None)));
+                check(
+                    format!("Pom RK4 step {case}"),
+                    rk4_step_bytes(&member(0, None)),
+                );
                 check(format!("Pom DDE {case}"), dde_bytes(&member(0, Some(91))));
                 check(
                     format!("Pom DDE cell change {case}"),
@@ -119,6 +142,7 @@ fn rhs_evaluation_allocates_nothing() {
                 for r in [5usize, 16] {
                     let ens = PomEnsemble::new((0..r).map(|rep| member(rep, None)).collect());
                     check(format!("R={r} ODE {case}"), ode_bytes(&ens));
+                    check(format!("R={r} RK4 step {case}"), rk4_step_bytes(&ens));
                     // One shared delay field, and per-replica fields (the
                     // replica-divergent fallback).
                     for shared in [true, false] {

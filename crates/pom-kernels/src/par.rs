@@ -13,7 +13,12 @@
 //! The design mirrors the `pom-sweep` campaign executor (plain `std`
 //! threads, mutex + condvar, no external dependencies) scaled down to
 //! microsecond-sized jobs: one notify-all to start, one counter to finish,
-//! no per-item channel traffic.
+//! no per-item channel traffic. Back-to-back jobs (the stages of one RK4
+//! step) arrive a few microseconds apart, faster than a condvar wake-up,
+//! so both sides spin briefly on atomic mirrors of the job counters
+//! before they sleep: a worker for [`SPIN`] after its chunk, the caller
+//! for the same bound after its own. The mutex and the condvars stay the
+//! source of truth; the mirrors only decide when to take the lock.
 //!
 //! Chunk boundaries depend only on `(n_items, threads)`, never on timing,
 //! so any split-by-rows computation that is deterministic per row is
@@ -37,10 +42,14 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long a worker spins for the next job, and the caller for the
+/// workers' chunks, before sleeping on a condvar.
+const SPIN: Duration = Duration::from_micros(50);
 
 struct PoolMetrics {
     jobs: Arc<pom_obs::Counter>,
@@ -100,6 +109,10 @@ struct State {
     /// Set when a worker's chunk panicked; `run` re-panics on the caller.
     panicked: bool,
     shutdown: bool,
+    /// Workers blocked on `work`: a post with none skips the notify.
+    sleeping: usize,
+    /// The caller is blocked on `done`.
+    caller_sleeping: bool,
 }
 
 struct Shared {
@@ -108,6 +121,28 @@ struct Shared {
     work: Condvar,
     /// Signals the caller: all workers done with the current job.
     done: Condvar,
+    /// Mirrors of `State::epoch`, `State::remaining` and
+    /// `State::shutdown`, written under the mutex and read by spinners.
+    /// A spinner that sees a change still takes the mutex before acting
+    /// on it; the `Release` stores and `Acquire` loads order the job and
+    /// the chunks' writes for a spinner that has not taken it yet.
+    epoch: AtomicU64,
+    remaining: AtomicUsize,
+    shutdown: AtomicBool,
+}
+
+/// Spin until `ready()` holds or [`SPIN`] has passed.
+fn spin_until(ready: impl Fn() -> bool) {
+    let start = Instant::now();
+    // Read the clock once per batch of polls, not on every poll.
+    while start.elapsed() < SPIN {
+        for _ in 0..64 {
+            if ready() {
+                return;
+            }
+            std::hint::spin_loop();
+        }
+    }
 }
 
 /// Fixed pool of parked worker threads executing chunked loops.
@@ -119,6 +154,9 @@ struct Shared {
 pub struct ChunkPool {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
+    /// Per-slot busy time of the current job (instrumented runs only),
+    /// allocated once so that a dispatch allocates nothing.
+    busy_us: Box<[AtomicU64]>,
     /// Serializes concurrent [`ChunkPool::run`] callers: the pool is held
     /// through `&self` by types that are themselves `Sync` (a model's RHS
     /// runs through `&self`), so two threads may legally call `run` at
@@ -156,9 +194,14 @@ impl ChunkPool {
                 remaining: 0,
                 panicked: false,
                 shutdown: false,
+                sleeping: 0,
+                caller_sleeping: false,
             }),
             work: Condvar::new(),
             done: Condvar::new(),
+            epoch: AtomicU64::new(0),
+            remaining: AtomicUsize::new(0),
+            shutdown: AtomicBool::new(false),
         });
         let workers = (1..threads.max(1))
             .map(|slot| {
@@ -169,6 +212,7 @@ impl ChunkPool {
         Self {
             shared,
             workers,
+            busy_us: (0..threads.max(1)).map(|_| AtomicU64::new(0)).collect(),
             run_gate: Mutex::new(()),
         }
     }
@@ -186,50 +230,44 @@ impl ChunkPool {
     /// Safe to call from several threads at once: concurrent calls are
     /// serialized (each job runs alone on the pool).
     pub fn run(&self, n_items: usize, f: &(dyn Fn(usize, Range<usize>) + Sync)) {
-        if !pom_obs::enabled() {
-            return self.run_inner(n_items, f);
-        }
-        // Instrumented path: one clock pair per slot per job (never per
-        // item). `run_inner` falls back to inline execution on slot 0 for
-        // trivial jobs, so only aggregate the slots that actually ran.
-        let slots = self.threads();
-        let active = if slots == 1 || n_items == 0 { 1 } else { slots };
-        let busy: Vec<AtomicU64> = (0..active).map(|_| AtomicU64::new(0)).collect();
-        let busy_ref = &busy;
-        self.run_inner(n_items, &move |slot: usize, range: Range<usize>| {
-            let t0 = Instant::now();
-            f(slot, range);
-            busy_ref[slot].store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-        });
-        let m = pool_metrics();
-        m.jobs.inc();
-        m.items.add(n_items as u64);
-        let (mut lo, mut hi, mut sum) = (u64::MAX, 0u64, 0u64);
-        for b in &busy {
-            let v = b.load(Ordering::Relaxed);
-            lo = lo.min(v);
-            hi = hi.max(v);
-            sum += v;
-        }
-        m.busy_us.add(sum);
-        m.imbalance_us.observe(hi - lo);
-    }
-
-    fn run_inner(&self, n_items: usize, f: &(dyn Fn(usize, Range<usize>) + Sync)) {
-        let slots = self.threads();
-        if slots == 1 || n_items == 0 {
+        let instrumented = pom_obs::enabled();
+        if self.workers.is_empty() || n_items == 0 {
+            let t0 = instrumented.then(Instant::now);
             f(0, 0..n_items);
+            if let Some(t0) = t0 {
+                record_job(n_items, [t0.elapsed().as_micros() as u64]);
+            }
             return;
         }
         // One job at a time. A poisoned gate (a previous caller panicked
-        // after its job fully drained — see the unwind handling below) is
-        // recovered, not propagated: the pool state is consistent.
+        // after its job fully drained — see the unwind handling in
+        // `dispatch`) is recovered, not propagated: the pool state is
+        // consistent.
         let _gate = match self.run_gate.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
+        if !instrumented {
+            return self.dispatch(n_items, f);
+        }
+        // Instrumented path: one clock pair per slot per job (never per
+        // item), into the pool's own counters, read under the gate.
+        let busy = &self.busy_us;
+        self.dispatch(n_items, &|slot: usize, range: Range<usize>| {
+            let t0 = Instant::now();
+            f(slot, range);
+            busy[slot].store(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+        });
+        record_job(n_items, busy.iter().map(|b| b.load(Ordering::Relaxed)));
+    }
+
+    /// Post one job to the workers, run slot 0 on the caller, and wait
+    /// for every chunk. The caller holds `run_gate`.
+    fn dispatch(&self, n_items: usize, f: &(dyn Fn(usize, Range<usize>) + Sync)) {
+        let slots = self.threads();
+        let shared = &*self.shared;
         {
-            let mut st = self.shared.state.lock().expect("pool mutex");
+            let mut st = shared.state.lock().expect("pool mutex");
             st.epoch += 1;
             // SAFETY: pure lifetime erasure (`&'a dyn …` → `*const dyn …`);
             // the wait on `remaining` below keeps the referent alive for
@@ -238,16 +276,25 @@ impl ChunkPool {
             st.job = Some(Job { f, n_items, slots });
             st.remaining = self.workers.len();
             st.panicked = false;
-            self.shared.work.notify_all();
+            // Only this caller reads `remaining` before the workers
+            // decrement it; the `epoch` store publishes the job.
+            shared.remaining.store(st.remaining, Ordering::Relaxed);
+            shared.epoch.store(st.epoch, Ordering::Release);
+            if st.sleeping > 0 {
+                shared.work.notify_all();
+            }
         }
         // The caller takes slot 0. Run it under catch_unwind so that even
         // if this chunk panics we still wait for the workers (whose borrow
         // of `f` must not outlive this frame) before resuming the panic.
         let mine = catch_unwind(AssertUnwindSafe(|| f(0, chunk_range(0, slots, n_items))));
+        spin_until(|| shared.remaining.load(Ordering::Acquire) == 0);
         let panicked = {
-            let mut st = self.shared.state.lock().expect("pool mutex");
+            let mut st = shared.state.lock().expect("pool mutex");
             while st.remaining > 0 {
-                st = self.shared.done.wait(st).expect("pool mutex");
+                st.caller_sleeping = true;
+                st = shared.done.wait(st).expect("pool mutex");
+                st.caller_sleeping = false;
             }
             st.job = None;
             st.panicked
@@ -260,11 +307,27 @@ impl ChunkPool {
     }
 }
 
+/// Count one job and its per-slot busy times.
+fn record_job(n_items: usize, busy_us: impl IntoIterator<Item = u64>) {
+    let m = pool_metrics();
+    m.jobs.inc();
+    m.items.add(n_items as u64);
+    let (mut lo, mut hi, mut sum) = (u64::MAX, 0u64, 0u64);
+    for v in busy_us {
+        lo = lo.min(v);
+        hi = hi.max(v);
+        sum += v;
+    }
+    m.busy_us.add(sum);
+    m.imbalance_us.observe(hi - lo);
+}
+
 impl Drop for ChunkPool {
     fn drop(&mut self) {
         {
             let mut st = self.shared.state.lock().expect("pool mutex");
             st.shutdown = true;
+            self.shared.shutdown.store(true, Ordering::Release);
             self.shared.work.notify_all();
         }
         for h in self.workers.drain(..) {
@@ -276,6 +339,9 @@ impl Drop for ChunkPool {
 fn worker_loop(shared: &Shared, slot: usize) {
     let mut seen = 0u64;
     loop {
+        spin_until(|| {
+            shared.epoch.load(Ordering::Acquire) != seen || shared.shutdown.load(Ordering::Acquire)
+        });
         let job = {
             let mut st = shared.state.lock().expect("pool mutex");
             loop {
@@ -288,7 +354,9 @@ fn worker_loop(shared: &Shared, slot: usize) {
                         break job;
                     }
                 }
+                st.sleeping += 1;
                 st = shared.work.wait(st).expect("pool mutex");
+                st.sleeping -= 1;
             }
         };
         // SAFETY: `run` blocks until `remaining` reaches zero, which
@@ -302,7 +370,8 @@ fn worker_loop(shared: &Shared, slot: usize) {
             st.panicked = true;
         }
         st.remaining -= 1;
-        if st.remaining == 0 {
+        shared.remaining.store(st.remaining, Ordering::Release);
+        if st.remaining == 0 && st.caller_sleeping {
             shared.done.notify_one();
         }
     }
@@ -465,6 +534,64 @@ mod tests {
                 h.join().unwrap();
             }
         });
+    }
+
+    /// Cover `0..n` once and check every item was hit exactly once.
+    fn covers_once(pool: &ChunkPool, n: usize) {
+        let hits = AtomicUsize::new(0);
+        pool.run(n, &|_slot, range| {
+            hits.fetch_add(range.len(), Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), n);
+    }
+
+    #[test]
+    fn job_reaches_workers_asleep_past_the_spin_bound() {
+        let pool = ChunkPool::new(3);
+        covers_once(&pool, 100);
+        // Wait until both workers have given up spinning and sleep on
+        // the condvar: the next post must wake them through it.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while pool.shared.state.lock().unwrap().sleeping < 2 {
+            assert!(Instant::now() < deadline, "workers never went to sleep");
+            std::thread::sleep(SPIN);
+        }
+        covers_once(&pool, 100);
+    }
+
+    #[test]
+    fn worker_panic_in_a_spin_woken_job_propagates() {
+        let pool = ChunkPool::new(2);
+        for _ in 0..20 {
+            // Back to back: the worker is still spinning on the epoch.
+            covers_once(&pool, 10);
+            let res = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(10, &|slot, _range| {
+                    if slot == 1 {
+                        panic!("worker chunk failure");
+                    }
+                });
+            }));
+            assert!(res.is_err(), "panic must propagate to the caller");
+        }
+        covers_once(&pool, 10);
+    }
+
+    #[test]
+    fn dropping_a_pool_with_spinning_workers_joins_promptly() {
+        for _ in 0..20 {
+            let pool = ChunkPool::new(4);
+            covers_once(&pool, 64);
+            // The workers are still spinning on the epoch mirror:
+            // `drop` must stop and join them while they spin.
+            let t0 = Instant::now();
+            drop(pool);
+            assert!(
+                t0.elapsed() < Duration::from_secs(2),
+                "drop took {:?}",
+                t0.elapsed()
+            );
+        }
     }
 
     #[test]

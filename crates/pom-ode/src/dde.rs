@@ -18,6 +18,7 @@
 
 use crate::error::OdeError;
 use crate::observe::{ObservedSummary, Record, StepObserver};
+use crate::stage::{combine, first_non_finite, Chunks};
 use crate::trajectory::Trajectory;
 use crate::workspace::Workspace;
 
@@ -63,6 +64,13 @@ pub trait DdeSystem {
     /// (the driver reuses [`crate::Workspace`] scratch): implementations
     /// must assign every component and must not read `dydt`.
     fn eval(&self, t: f64, y: &[f64], hist: &dyn PhaseHistory, dydt: &mut [f64]);
+
+    /// The chunk hook of [`crate::OdeSystem::for_chunks`], for
+    /// [`DdeRk4`]'s stage arithmetic. The default runs `f(0, out)`
+    /// inline.
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        f(0, out)
+    }
 }
 
 /// Initial history `y(t)` for `t ≤ t0`.
@@ -430,6 +438,7 @@ impl DdeRk4 {
         let span = t_end - t0;
         let n_steps = self.n_steps(span);
 
+        let chunks: Chunks = &|out, f| sys.for_chunks(out, f);
         let (stage, drive) = ws.split();
         let [k2, k3, k4, ytmp] = stage.slices::<4>(n);
         let [mut y, mut y_new, mut k1, mut f_new] = drive.slices::<4>(n);
@@ -445,7 +454,7 @@ impl DdeRk4 {
             y0: &*y,
         };
         sys.eval(t0, y, &boot, k1);
-        check_finite(t0, k1)?;
+        check_finite(chunks, t0, k1)?;
         let mut n_eval = 1;
 
         let mut buffer = HistoryBuffer::new(t0, y, k1, initial);
@@ -470,27 +479,21 @@ impl DdeRk4 {
             let h = t_target - t;
 
             // k1 = f(t, y) carried from the previous step's f_new.
-            for i in 0..n {
-                ytmp[i] = y[i] + 0.5 * h * k1[i];
-            }
+            combine(chunks, ytmp, [y, k1], |[y, k1]| y + 0.5 * h * k1);
             sys.eval(t + 0.5 * h, ytmp, &buffer, k2);
-            for i in 0..n {
-                ytmp[i] = y[i] + 0.5 * h * k2[i];
-            }
+            combine(chunks, ytmp, [y, k2], |[y, k2]| y + 0.5 * h * k2);
             sys.eval(t + 0.5 * h, ytmp, &buffer, k3);
-            for i in 0..n {
-                ytmp[i] = y[i] + h * k3[i];
-            }
+            combine(chunks, ytmp, [y, k3], |[y, k3]| y + h * k3);
             sys.eval(t + h, ytmp, &buffer, k4);
-            for i in 0..n {
-                y_new[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-            }
-            check_finite(t, y_new)?;
+            combine(chunks, y_new, [y, k1, k2, k3, k4], |[y, k1, k2, k3, k4]| {
+                y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            });
+            check_finite(chunks, t, y_new)?;
 
             t = t_target;
             sys.eval(t, y_new, &buffer, f_new);
             n_eval += 4; // k2, k3, k4, f_new (k1 is carried over)
-            check_finite(t, f_new)?;
+            check_finite(chunks, t, f_new)?;
             buffer.push(t, y_new, f_new);
             if let Some(w) = history_window {
                 // All future lookups reach back at most `w` from the
@@ -534,8 +537,8 @@ impl PhaseHistory for BootstrapHistory<'_> {
     }
 }
 
-fn check_finite(t: f64, v: &[f64]) -> Result<(), OdeError> {
-    if let Some(bad) = v.iter().position(|x| !x.is_finite()) {
+fn check_finite(chunks: Chunks<'_>, t: f64, v: &mut [f64]) -> Result<(), OdeError> {
+    if let Some(bad) = first_non_finite(chunks, v) {
         return Err(OdeError::NonFiniteDerivative { t, component: bad });
     }
     Ok(())

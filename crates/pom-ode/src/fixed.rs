@@ -8,6 +8,7 @@
 
 use crate::error::OdeError;
 use crate::observe::{ObservedSummary, Record, StepObserver};
+use crate::stage::{combine, first_non_finite, Chunks};
 use crate::trajectory::Trajectory;
 use crate::workspace::{ScratchPool, Workspace};
 use crate::OdeSystem;
@@ -18,7 +19,8 @@ use crate::OdeSystem;
 /// concrete system monomorphizes the stage loop (no virtual dispatch on
 /// the hot path) while `&dyn OdeSystem` still works where type erasure is
 /// convenient. Stage buffers come from the caller's `ScratchPool`; a
-/// step performs no heap allocation.
+/// step performs no heap allocation. The elementwise stage combinations
+/// run on the system's [`OdeSystem::for_chunks`].
 pub trait Stepper {
     /// Advance the state by one step of size `h`.
     ///
@@ -56,12 +58,10 @@ impl Stepper for Euler {
         y_out: &mut [f64],
         scratch: &mut ScratchPool,
     ) -> usize {
-        let n = y.len();
-        let [k] = scratch.slices::<1>(n);
+        let chunks: Chunks = &|out, f| sys.for_chunks(out, f);
+        let [k] = scratch.slices::<1>(y.len());
         sys.eval(t, y, k);
-        for i in 0..n {
-            y_out[i] = y[i] + h * k[i];
-        }
+        combine(chunks, y_out, [y, k], |[y, k]| y + h * k);
         1
     }
 
@@ -88,16 +88,14 @@ impl Stepper for Heun {
         y_out: &mut [f64],
         scratch: &mut ScratchPool,
     ) -> usize {
-        let n = y.len();
-        let [k1, k2, ytmp] = scratch.slices::<3>(n);
+        let chunks: Chunks = &|out, f| sys.for_chunks(out, f);
+        let [k1, k2, ytmp] = scratch.slices::<3>(y.len());
         sys.eval(t, y, k1);
-        for i in 0..n {
-            ytmp[i] = y[i] + h * k1[i];
-        }
+        combine(chunks, ytmp, [y, k1], |[y, k1]| y + h * k1);
         sys.eval(t + h, ytmp, k2);
-        for i in 0..n {
-            y_out[i] = y[i] + 0.5 * h * (k1[i] + k2[i]);
-        }
+        combine(chunks, y_out, [y, k1, k2], |[y, k1, k2]| {
+            y + 0.5 * h * (k1 + k2)
+        });
         2
     }
 
@@ -124,25 +122,19 @@ impl Stepper for Rk4 {
         y_out: &mut [f64],
         scratch: &mut ScratchPool,
     ) -> usize {
-        let n = y.len();
-        let [k1, k2, k3, k4, ytmp] = scratch.slices::<5>(n);
+        let chunks: Chunks = &|out, f| sys.for_chunks(out, f);
+        let [k1, k2, k3, k4, ytmp] = scratch.slices::<5>(y.len());
 
         sys.eval(t, y, k1);
-        for i in 0..n {
-            ytmp[i] = y[i] + 0.5 * h * k1[i];
-        }
+        combine(chunks, ytmp, [y, k1], |[y, k1]| y + 0.5 * h * k1);
         sys.eval(t + 0.5 * h, ytmp, k2);
-        for i in 0..n {
-            ytmp[i] = y[i] + 0.5 * h * k2[i];
-        }
+        combine(chunks, ytmp, [y, k2], |[y, k2]| y + 0.5 * h * k2);
         sys.eval(t + 0.5 * h, ytmp, k3);
-        for i in 0..n {
-            ytmp[i] = y[i] + h * k3[i];
-        }
+        combine(chunks, ytmp, [y, k3], |[y, k3]| y + h * k3);
         sys.eval(t + h, ytmp, k4);
-        for i in 0..n {
-            y_out[i] = y[i] + (h / 6.0) * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-        }
+        combine(chunks, y_out, [y, k1, k2, k3, k4], |[y, k1, k2, k3, k4]| {
+            y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        });
         4
     }
 
@@ -220,7 +212,8 @@ impl<S: Stepper> FixedStepSolver<S> {
     /// After the workspace warms up (first step at this dimension), the
     /// loop performs no heap allocation and results are bitwise
     /// independent of workspace reuse. Non-finite states are reported at
-    /// the first step that produces one.
+    /// the first step that produces one, naming its lowest non-finite
+    /// component (the scan runs on the system's chunks).
     pub fn integrate_observed<Sys: OdeSystem + ?Sized, O: StepObserver>(
         &self,
         sys: &Sys,
@@ -246,6 +239,7 @@ impl<S: Stepper> FixedStepSolver<S> {
         let span = t_end - t0;
         let n_steps = self.n_steps(span);
 
+        let chunks: Chunks = &|out, f| sys.for_chunks(out, f);
         let (stage, drive) = ws.split();
         let [mut y, mut y_next] = drive.slices::<2>(n);
         y.copy_from_slice(y0);
@@ -265,7 +259,7 @@ impl<S: Stepper> FixedStepSolver<S> {
             n_eval += self.stepper.step(sys, t, y, h, y_next, stage);
             std::mem::swap(&mut y, &mut y_next);
             t = t_target;
-            if let Some(bad) = y.iter().position(|v| !v.is_finite()) {
+            if let Some(bad) = first_non_finite(chunks, y) {
                 return Err(OdeError::NonFiniteDerivative { t, component: bad });
             }
             obs.observe_step(t, y);

@@ -35,6 +35,8 @@
 //!   trajectory storage, or a stored trajectory when one is wanted.
 //! * `workspace` — reusable scratch memory ([`Workspace`]) for the
 //!   allocation-free step loops.
+//! * `stage` — the fixed-step stage arithmetic and finiteness scans, run
+//!   on the chunks a system lends through [`OdeSystem::for_chunks`].
 //!
 //! ## Performance model
 //!
@@ -73,6 +75,7 @@ mod events;
 mod fixed;
 pub(crate) mod obs;
 mod observe;
+mod stage;
 mod trajectory;
 mod workspace;
 
@@ -107,6 +110,16 @@ pub trait OdeSystem {
     /// Implementations must assign every component (`d[i] = …`, never
     /// `d[i] += …` on unwritten slots) and must not read `dydt`.
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]);
+
+    /// Run `f(offset, chunk)` over a cover of `out` by disjoint contiguous
+    /// chunks, `chunk` being `out[offset..offset + chunk.len()]`. The
+    /// fixed-step solvers run their elementwise stage arithmetic and
+    /// finiteness scans through this hook, so a system whose RHS already
+    /// runs on worker threads can lend them; chunks may then run
+    /// concurrently. The default runs `f(0, out)` inline.
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        f(0, out)
+    }
 }
 
 /// Adapter turning a closure `f(t, y, dydt)` into an [`OdeSystem`].
@@ -140,6 +153,9 @@ impl<S: OdeSystem + ?Sized> OdeSystem for &S {
     }
     fn eval(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
         (**self).eval(t, y, dydt)
+    }
+    fn for_chunks(&self, out: &mut [f64], f: &(dyn Fn(usize, &mut [f64]) + Sync)) {
+        (**self).for_chunks(out, f)
     }
 }
 

@@ -50,8 +50,8 @@ pub enum Accuracy {
     #[default]
     Exact,
     /// The system itself runs under a `~1e-12` accuracy policy, so the
-    /// observer may too (polynomial transcendentals, deterministic on a
-    /// given machine).
+    /// observer may too (polynomial transcendentals, deterministic
+    /// across reruns and thread counts).
     Policy,
 }
 

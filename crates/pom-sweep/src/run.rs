@@ -136,8 +136,8 @@ fn model_observables(
             &perturbed,
             &baseline,
             s.wave.threshold,
-            s.wave_source(),
-            s.wave_max_distance(),
+            s.wave.source_or(s.inject.map(|i| i.rank)),
+            s.wave.max_distance_on(s.n),
             wave_geometry(s.topology.kind()),
         );
         let traj = perturbed.trajectory();
@@ -297,8 +297,8 @@ fn mpisim_observables(
             &perturbed,
             &baseline,
             s.wave.threshold,
-            s.wave_source(),
-            s.wave_max_distance(),
+            s.wave.source_or(s.inject.map(|i| i.rank)),
+            s.wave.max_distance_on(s.n),
             WaveGeometry::Ring,
         ))
     } else {

@@ -599,6 +599,26 @@ pub struct WaveFit {
     pub max_distance: Option<usize>,
 }
 
+impl WaveFit {
+    /// Effective fit source rank: the pinned one, else the injected
+    /// rank, else 0.
+    pub(crate) fn source_or(&self, inject_rank: Option<usize>) -> usize {
+        self.source.or(inject_rank).unwrap_or(0)
+    }
+
+    /// Effective maximum fit distance on `n` ranks.
+    pub(crate) fn max_distance_on(&self, n: usize) -> usize {
+        self.max_distance
+            .unwrap_or((n / 2).saturating_sub(2).max(1))
+    }
+}
+
+/// The noise seed of a point: the pinned seed, else one derived from the
+/// point seed (the same rule for both substrates).
+fn noise_seed(pinned: Option<u64>, point_seed: u64) -> u64 {
+    pinned.unwrap_or_else(|| pom_noise::SplitMix64::mix(point_seed ^ 0x6e6f_6973_6500_0000))
+}
+
 /// Injected one-off delay for the model substrate.
 #[derive(Debug, Clone, Copy)]
 pub struct ModelInject {
@@ -909,9 +929,7 @@ impl ModelScenario {
         let mut noise = SumNoise::new();
         let mut any_noise = false;
         if let Some(sigma) = self.noise_sigma {
-            let seed = self
-                .noise_seed
-                .unwrap_or_else(|| pom_noise::SplitMix64::mix(point_seed ^ 0x6e6f_6973_6500_0000));
+            let seed = noise_seed(self.noise_seed, point_seed);
             noise = noise.with(WhiteJitter::new(
                 seed,
                 sigma,
@@ -943,21 +961,6 @@ impl ModelScenario {
             Some(s) => opts.solver(s),
             None => opts,
         }
-    }
-
-    /// Effective wave-fit source rank.
-    pub(crate) fn wave_source(&self) -> usize {
-        self.wave
-            .source
-            .or(self.inject.map(|i| i.rank))
-            .unwrap_or(0)
-    }
-
-    /// Effective wave-fit maximum distance.
-    pub(crate) fn wave_max_distance(&self) -> usize {
-        self.wave
-            .max_distance
-            .unwrap_or((self.n / 2).saturating_sub(2).max(1))
     }
 }
 
@@ -1006,10 +1009,7 @@ impl MpiScenario {
             p = p.allreduce_every(k);
         }
         if let Some(sigma) = self.noise_sigma {
-            let seed = self
-                .noise_seed
-                .unwrap_or_else(|| pom_noise::SplitMix64::mix(point_seed ^ 0x6e6f_6973_6500_0000));
-            p = p.noise(sigma, seed);
+            p = p.noise(sigma, noise_seed(self.noise_seed, point_seed));
         }
         if with_inject {
             if let Some(inj) = self.inject {
@@ -1017,21 +1017,6 @@ impl MpiScenario {
             }
         }
         p
-    }
-
-    /// Effective wave-fit source rank.
-    pub(crate) fn wave_source(&self) -> usize {
-        self.wave
-            .source
-            .or(self.inject.map(|i| i.rank))
-            .unwrap_or(0)
-    }
-
-    /// Effective wave-fit maximum distance.
-    pub(crate) fn wave_max_distance(&self) -> usize {
-        self.wave
-            .max_distance
-            .unwrap_or((self.n / 2).saturating_sub(2).max(1))
     }
 }
 
