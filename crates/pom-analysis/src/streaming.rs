@@ -227,13 +227,14 @@ impl StepObserver for PhaseGapProbe {
 /// The probe bundle behind `pom-sweep`'s streaming observables: order
 /// parameter plus gap/spread statistics, O(1) state.
 ///
-/// Each sample is one [`phase_summary`] walk, whose trig follows the
+/// Each sample is one [`phase_summary`] pass, whose trig follows the
 /// [`Accuracy`] the driver announced (`pom_core::Pom::simulate_observed`
 /// passes the model kernel's): `libm` by default and under
-/// `RhsKernel::Exact`, bitwise equal to `OrderParameterProbe` plus
-/// `PhaseGapProbe`; the split kernel's polynomial `sin`/`cos` under
-/// `RhsKernel::SinCosSplit`, where `r` falls under the same `~1e-12`
-/// policy as the run itself and the gap statistics stay bitwise.
+/// `RhsKernel::Exact`, a per-element walk bitwise equal to
+/// `OrderParameterProbe` plus `PhaseGapProbe`; the split kernel's
+/// polynomial `sin`/`cos` under `RhsKernel::SinCosSplit`, a vectorized
+/// block pass where `r` falls under the same `~1e-12` policy as the run
+/// itself and the gap statistics stay bitwise. No heap either way.
 #[derive(Debug, Clone, Default)]
 pub struct RunSummaryProbe {
     /// Order-parameter statistics.

@@ -20,6 +20,9 @@
 //!   `|r| ≤ π/2` after modulo-π reduction, ≤ 1e-13 absolute error,
 //!   runtime-dispatched to AVX-512 or AVX2 recompilations where the CPU
 //!   has them);
+//! * the run-summary probe's block pass under the split kernel's trig
+//!   (that array pass plus the adjacent gaps and extremes, bitwise a
+//!   per-element walk; dispatched to AVX2 at most);
 //! * the split-kernel row loops over either a [`pom_topology::RingStencil`]
 //!   (index-free, wrap rows peeled off the contiguous bulk) or a flat
 //!   [`pom_topology::CsrView`], plus the noise-free row finalization —
@@ -245,13 +248,19 @@ fn sincos_poly(x: f64) -> (f64, f64) {
 fn sincos_pass_body(k: f64, xs: &[f64], s: &mut [f64], c: &mut [f64]) {
     // Main pass: branch- and call-free so the loop vectorizes. The
     // fallback scan below must stay OUT of this loop — a conditional
-    // `libm` call in the body would force scalar code on every element.
+    // `libm` call in the body would force scalar code on every element —
+    // but whether any element needs it is a vectorizable `or`.
     let n = xs.len();
+    let mut far = false;
     for j in 0..n {
         let x = k * xs[j];
         let (sj, cj) = sincos_poly(x);
         s[j] = sj;
         c[j] = cj;
+        far |= x.abs() > ARG_LIMIT;
+    }
+    if !far {
+        return;
     }
     // Rare fix-up: per-element decision, so results are independent of
     // how a larger array was chunked (deterministic across thread
@@ -264,6 +273,111 @@ fn sincos_pass_body(k: f64, xs: &[f64], s: &mut [f64], c: &mut [f64]) {
             c[j] = cj;
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Phase-summary pass
+// ---------------------------------------------------------------------------
+
+/// Phases per stack block of the summary pass: large enough to amortize
+/// the block's vector passes, small enough that a small system does not
+/// pay to zero a large buffer on every sample.
+pub(crate) const SUMMARY_BLOCK: usize = 128;
+
+/// Lane accumulators of the summary pass's order-free reductions: two
+/// AVX2 vectors or four SSE2 ones.
+const LANES: usize = 8;
+
+/// The raw reductions behind a [`crate::PhaseSummary`]: the ordered sums
+/// `Σ cos θᵢ`, `Σ sin θᵢ` and `Σ |θᵢ − θᵢ₋₁|` (`i ≥ 1`), the largest
+/// such gap, and the smallest and largest phase. NaN phases are skipped
+/// by the extremes and the gap maximum, as `f64::min`/`f64::max` skip
+/// them.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SummaryFolds {
+    pub re: f64,
+    pub im: f64,
+    pub gap_sum: f64,
+    pub gap_max: f64,
+    pub lo: f64,
+    pub hi: f64,
+}
+
+impl SummaryFolds {
+    /// The folds of no phases.
+    pub(crate) const EMPTY: Self = SummaryFolds {
+        re: 0.0,
+        im: 0.0,
+        gap_sum: 0.0,
+        gap_max: 0.0,
+        lo: f64::INFINITY,
+        hi: f64::NEG_INFINITY,
+    };
+}
+
+/// Fold `xs` into the lane accumulators, element `j` into lane `j % LANES`.
+#[inline(always)]
+fn fold_lanes(acc: &mut [f64; LANES], xs: &[f64], pick: impl Fn(f64, f64) -> f64) {
+    let mut groups = xs.chunks_exact(LANES);
+    for group in &mut groups {
+        for (a, &x) in acc.iter_mut().zip(group) {
+            *a = pick(*a, x);
+        }
+    }
+    for (a, &x) in acc.iter_mut().zip(groups.remainder()) {
+        *a = pick(*a, x);
+    }
+}
+
+/// [`SummaryFolds`] of `phases` with the polynomial `sin`/`cos` of
+/// [`sincos_pass_body`], bitwise what a per-element walk folding each
+/// accumulator in index order gives.
+///
+/// Per block of [`SUMMARY_BLOCK`] phases, vectorizable passes fill the
+/// block's `sin`, `cos` and adjacent gaps on the stack, then one loop adds
+/// them to `re`, `im` and `gap_sum` in index order: the same values in the
+/// same order, so the same bits. The extremes and the gap maximum do not
+/// depend on order and fold into [`LANES`] lane accumulators, combined at
+/// the end, with the walk's values. Meeting `+0.0` and `−0.0` in another
+/// order, `f64::min`/`f64::max` may keep another zero than the walk, and
+/// that shows only in the spread `hi − lo` of a sample whose phases are
+/// all zeros or NaN. Whether a tie keeps the earlier or the later zero,
+/// `lo` and `hi` then keep the same one, so the spread is `+0.0` in both
+/// folds; a rule that prefers a sign prefers it in any order. Allocates
+/// nothing.
+#[inline(always)]
+fn summary_folds_body(phases: &[f64]) -> SummaryFolds {
+    let mut f = SummaryFolds::EMPTY;
+    let mut lo = [f64::INFINITY; LANES];
+    let mut hi = [f64::NEG_INFINITY; LANES];
+    let mut gap_max = [0.0; LANES];
+    let mut s = [0.0; SUMMARY_BLOCK];
+    let mut c = [0.0; SUMMARY_BLOCK];
+    let mut g = [0.0; SUMMARY_BLOCK];
+    let mut prev = None::<f64>;
+    for xs in phases.chunks(SUMMARY_BLOCK) {
+        let (s, c, g) = (&mut s[..xs.len()], &mut c[..xs.len()], &mut g[..xs.len()]);
+        sincos_pass_body(1.0, xs, s, c);
+        // The first phase has no gap; a +0.0 in its place leaves the sum
+        // (+0.0 + +0.0) and the maximum (from +0.0) as they were.
+        g[0] = prev.map_or(0.0, |q| (xs[0] - q).abs());
+        for (gj, w) in g[1..].iter_mut().zip(xs.windows(2)) {
+            *gj = (w[1] - w[0]).abs();
+        }
+        fold_lanes(&mut lo, xs, f64::min);
+        fold_lanes(&mut hi, xs, f64::max);
+        fold_lanes(&mut gap_max, g, f64::max);
+        for ((&cj, &sj), &gj) in c.iter().zip(s.iter()).zip(g.iter()) {
+            f.re += cj;
+            f.im += sj;
+            f.gap_sum += gj;
+        }
+        prev = xs.last().copied();
+    }
+    f.gap_max = gap_max.into_iter().fold(0.0, f64::max);
+    f.lo = lo.into_iter().fold(f64::INFINITY, f64::min);
+    f.hi = hi.into_iter().fold(f64::NEG_INFINITY, f64::max);
+    f
 }
 
 /// A monomorphized pair interaction for the split kernel's inner loops.
@@ -510,6 +624,27 @@ simd_dispatched! {
     fn sincos_pass(k: f64, xs: &[f64], s: &mut [f64], c: &mut [f64]) = sincos_pass_body
 }
 
+/// Phase-summary pass with runtime SIMD dispatch, up to the AVX2 tier
+/// only. An AVX-512 recompilation runs the pass faster by itself, but in
+/// paired end-to-end runs (2-vCPU Xeon) it made an n = 4096 delay
+/// ensemble, whose steps are scalar `libm` work between the samples,
+/// slower than a per-element walk does; the AVX2 pass is faster than the
+/// walk there and on the n = 65536 continuum.
+pub(crate) fn summary_folds(phases: &[f64]) -> SummaryFolds {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2,fma")]
+        unsafe fn avx2(phases: &[f64]) -> SummaryFolds {
+            summary_folds_body(phases)
+        }
+        if SimdTier::current() >= SimdTier::Avx2 {
+            // SAFETY: the required CPU features were detected at runtime.
+            return unsafe { avx2(phases) };
+        }
+    }
+    summary_folds_body(phases)
+}
+
 simd_dispatched! {
     /// Stencil row loop with runtime SIMD dispatch.
     fn split_rows_stencil<P: PairTerm, W: Width>(
@@ -580,17 +715,23 @@ mod tests {
         let mut theta: Vec<f64> = (0..n * r)
             .map(|e| (e as f64 * 0.913).sin() * 60.0 + e as f64 * 1e-3)
             .collect();
-        theta[7] = 3.5e6; // beyond ARG_LIMIT: the libm fix-up
         let len = n * r;
         let (mut s, mut c) = (vec![0.0; len], vec![0.0; len]);
         let (mut s_ref, mut c_ref) = (vec![0.0; len], vec![0.0; len]);
-        sincos_pass(k, &theta, &mut s, &mut c);
-        sincos_pass_body(k, &theta, &mut s_ref, &mut c_ref);
-        assert_eq!(
-            (bits(&s), bits(&c)),
-            (bits(&s_ref), bits(&c_ref)),
-            "sincos_pass"
-        );
+        // Both sides of the far-element scan: all near, then one element
+        // beyond ARG_LIMIT (the libm fix-up), which the rows below use.
+        for far in [false, true] {
+            if far {
+                theta[7] = 3.5e6;
+            }
+            sincos_pass(k, &theta, &mut s, &mut c);
+            sincos_pass_body(k, &theta, &mut s_ref, &mut c_ref);
+            assert_eq!(
+                (bits(&s), bits(&c)),
+                (bits(&s_ref), bits(&c_ref)),
+                "sincos_pass, far element: {far}"
+            );
+        }
 
         let scale: Vec<f64> = (0..n).map(|i| 0.25 + i as f64 * 0.01).collect();
         for rows in [0..n, 5..n - 1] {
@@ -608,7 +749,35 @@ mod tests {
         }
     }
 
+    /// The summary pass against its scalar body: ordinary phases across
+    /// block edges, a far element, NaNs and signed zeros.
+    fn summary_front_door_matches_body() {
+        let fold_bits =
+            |f: SummaryFolds| [f.re, f.im, f.gap_sum, f.gap_max, f.lo, f.hi].map(f64::to_bits);
+        let b = SUMMARY_BLOCK;
+        for n in [1, 9, b, b + 1, 3 * b + 5] {
+            let mut phases: Vec<f64> = (0..n).map(|i| (i as f64 * 0.731).sin() * 300.0).collect();
+            let check = |phases: &[f64], case: &str| {
+                assert_eq!(
+                    fold_bits(summary_folds(phases)),
+                    fold_bits(summary_folds_body(phases)),
+                    "summary_folds, n = {n}: {case}"
+                );
+            };
+            check(&phases, "near");
+            phases[n / 2] = -3.5e6;
+            check(&phases, "far");
+            phases[n - 1] = f64::NAN;
+            check(&phases, "NaN");
+            let zeros: Vec<f64> = (0..n)
+                .map(|i| if i % 3 == 1 { -0.0 } else { 0.0 })
+                .collect();
+            check(&zeros, "signed zeros");
+        }
+    }
+
     fn front_doors_match_bodies() {
+        summary_front_door_matches_body();
         let sigma = 2.5;
         let k = 1.5 * std::f64::consts::PI / sigma;
         front_doors_match_bodies_at(DesyncPair { sigma }, k, One);

@@ -5,11 +5,14 @@
 //! `θ_i − ωt` *normalized to the slowest ("lagger") process as the
 //! baseline*; synchrony is quantified by the Kuramoto order parameter and
 //! by the phase spread. [`phase_summary`] computes the streamed set (r,
-//! adjacent gaps, spread) in one walk, with the trig of the run's kernel.
+//! adjacent gaps, spread) in one pass, with the trig of the run's kernel:
+//! a per-element walk under `libm` trig, and under the split kernel's
+//! polynomial trig a vectorized block pass that keeps the walk's every
+//! bit.
 
 use pom_ode::Accuracy;
 
-use crate::kernel::sincos_pass;
+use crate::kernel::{summary_folds, SummaryFolds};
 
 /// Kuramoto order parameter `r ∈ [0, 1]` and mean phase `ψ`:
 /// `r·e^{iψ} = (1/N)·Σ_j e^{iθ_j}`.
@@ -64,68 +67,55 @@ pub struct PhaseSummary {
     pub spread: f64,
 }
 
-/// Phases per stack block of the [`Accuracy::Policy`] sin/cos pass: large
-/// enough to amortize a pass call, small enough that a small system does
-/// not pay to zero a large buffer on every sample.
-const SUMMARY_BLOCK: usize = 128;
-
 /// [`order_parameter`]'s `r`, the adjacent-gap mean and max, and
-/// [`phase_spread`] in one walk over the phases.
+/// [`phase_spread`] in one pass over the phases.
 ///
-/// Each accumulator folds in the same order as the separate functions, so
-/// under [`Accuracy::Exact`] (`libm` trig) every value is bitwise theirs.
-/// Under [`Accuracy::Policy`] the sin/cos come from the split kernel's
-/// polynomial array pass, filled block by block on the stack: `r` then
-/// stays within `~1e-12` of `Exact` (the `SinCosSplit` accuracy policy),
-/// and the gaps and the spread, which use no trig, stay bitwise equal.
-/// Allocates nothing.
+/// Under [`Accuracy::Exact`] (`libm` trig) one walk folds each
+/// accumulator in the order of the separate functions, so every value is
+/// bitwise theirs. Under [`Accuracy::Policy`] the sin/cos come from the
+/// split kernel's polynomial array pass, and one vectorized block pass
+/// computes them with the gaps: it adds `Σ cos`, `Σ sin` and the gap sum
+/// in index order, as a per-element walk would, and keeps the order-free
+/// extremes and largest gap in lane accumulators. Every output is bitwise
+/// that walk's; `r` then stays within `~1e-12` of `Exact` (the
+/// `SinCosSplit` accuracy policy), and the gaps and the spread, which use
+/// no trig, stay bitwise equal. Allocates nothing.
 ///
 /// # Panics
 /// Panics on an empty slice.
 pub fn phase_summary(phases: &[f64], accuracy: Accuracy) -> PhaseSummary {
     assert!(!phases.is_empty(), "phase summary of an empty system");
-    let (mut re, mut im, mut lo, mut hi) = (0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY);
-    let (mut gap_sum, mut gap_max, mut prev) = (0.0, 0.0f64, None::<f64>);
-    let mut fold = |p: f64, cos: f64, sin: f64| {
-        re += cos;
-        im += sin;
-        lo = lo.min(p);
-        hi = hi.max(p);
-        if let Some(q) = prev {
-            let g = (p - q).abs();
-            gap_sum += g;
-            gap_max = gap_max.max(g);
-        }
-        prev = Some(p);
-    };
-    match accuracy {
+    let f = match accuracy {
         Accuracy::Exact => {
+            let mut f = SummaryFolds::EMPTY;
+            let mut prev = None::<f64>;
             for &p in phases {
-                fold(p, p.cos(), p.sin());
-            }
-        }
-        Accuracy::Policy => {
-            let (mut s, mut c) = ([0.0; SUMMARY_BLOCK], [0.0; SUMMARY_BLOCK]);
-            for xs in phases.chunks(SUMMARY_BLOCK) {
-                let (s, c) = (&mut s[..xs.len()], &mut c[..xs.len()]);
-                sincos_pass(1.0, xs, s, c);
-                for ((&p, &cj), &sj) in xs.iter().zip(c.iter()).zip(s.iter()) {
-                    fold(p, cj, sj);
+                f.re += p.cos();
+                f.im += p.sin();
+                f.lo = f.lo.min(p);
+                f.hi = f.hi.max(p);
+                if let Some(q) = prev {
+                    let g = (p - q).abs();
+                    f.gap_sum += g;
+                    f.gap_max = f.gap_max.max(g);
                 }
+                prev = Some(p);
             }
+            f
         }
-    }
+        Accuracy::Policy => summary_folds(phases),
+    };
     let len = phases.len();
-    let (re, im) = (re / len as f64, im / len as f64);
+    let (re, im) = (f.re / len as f64, f.im / len as f64);
     PhaseSummary {
         r: (re * re + im * im).sqrt(),
         mean_gap: if len < 2 {
             0.0
         } else {
-            gap_sum / (len - 1) as f64
+            f.gap_sum / (len - 1) as f64
         },
-        max_gap: gap_max,
-        spread: hi - lo,
+        max_gap: f.gap_max,
+        spread: f.hi - f.lo,
     }
 }
 
@@ -180,6 +170,7 @@ pub(crate) fn mean_abs_adjacent_difference(phases: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::kernel::{sincos_pass, SUMMARY_BLOCK};
     use proptest::prelude::*;
     use std::f64::consts::{PI, TAU};
 
@@ -205,13 +196,65 @@ mod tests {
         }
     }
 
+    /// The `Policy` arm as one per-element walk: each block's sin/cos
+    /// from the array pass, then every accumulator folded element by
+    /// element in index order.
+    fn policy_walk(phases: &[f64]) -> PhaseSummary {
+        let (mut re, mut im, mut lo, mut hi) = (0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY);
+        let (mut gap_sum, mut gap_max, mut prev) = (0.0, 0.0f64, None::<f64>);
+        let mut fold = |p: f64, cos: f64, sin: f64| {
+            re += cos;
+            im += sin;
+            lo = lo.min(p);
+            hi = hi.max(p);
+            if let Some(q) = prev {
+                let g = (p - q).abs();
+                gap_sum += g;
+                gap_max = gap_max.max(g);
+            }
+            prev = Some(p);
+        };
+        let (mut s, mut c) = ([0.0; SUMMARY_BLOCK], [0.0; SUMMARY_BLOCK]);
+        for xs in phases.chunks(SUMMARY_BLOCK) {
+            let (s, c) = (&mut s[..xs.len()], &mut c[..xs.len()]);
+            sincos_pass(1.0, xs, s, c);
+            for ((&p, &cj), &sj) in xs.iter().zip(c.iter()).zip(s.iter()) {
+                fold(p, cj, sj);
+            }
+        }
+        let len = phases.len();
+        let (re, im) = (re / len as f64, im / len as f64);
+        PhaseSummary {
+            r: (re * re + im * im).sqrt(),
+            mean_gap: if len < 2 {
+                0.0
+            } else {
+                gap_sum / (len - 1) as f64
+            },
+            max_gap: gap_max,
+            spread: hi - lo,
+        }
+    }
+
     fn bits(s: PhaseSummary) -> [u64; 4] {
         [s.r, s.mean_gap, s.max_gap, s.spread].map(f64::to_bits)
     }
 
+    /// Under `Policy`: every field bitwise the per-element walk.
+    fn assert_policy_is_the_walk(phases: &[f64]) {
+        assert_eq!(
+            bits(phase_summary(phases, Accuracy::Policy)),
+            bits(policy_walk(phases)),
+            "n = {}: {:?}",
+            phases.len(),
+            &phases[..phases.len().min(12)]
+        );
+    }
+
     /// Under `Policy`: `r` within the split kernel's policy, the
-    /// trig-free gaps and spread bitwise.
+    /// trig-free gaps and spread bitwise, all four bitwise the walk.
     fn assert_policy_matches_oracle(phases: &[f64]) {
+        assert_policy_is_the_walk(phases);
         let (got, want) = (phase_summary(phases, Accuracy::Policy), oracle(phases));
         assert!(
             (got.r - want.r).abs() <= 1e-12 || (got.r.is_nan() && want.r.is_nan()),
@@ -289,6 +332,81 @@ mod tests {
             let (got, want) = (phase_summary(&phases, Accuracy::Policy), oracle(&phases));
             prop_assert_eq!(bits(got)[1..], bits(want)[1..]);
         }
+
+        /// The block pass reorders no sum: `r` too is bitwise the walk.
+        #[test]
+        fn phase_summary_policy_is_bitwise_the_walk(phases in any_phases()) {
+            assert_policy_is_the_walk(&phases);
+        }
+    }
+
+    /// `f64::min`/`f64::max` may keep either zero of a tie, and the spread
+    /// of an all-zero sample is the difference of the two zeros kept: the
+    /// lane folds must give the walk's bits wherever the signed zeros sit
+    /// among the lanes.
+    #[test]
+    fn phase_summary_policy_is_the_walk_on_signed_zeros() {
+        let mut rng = TestRng::deterministic("phase_summary_zeros");
+        for n in [1, 2, 3, 8, 9, 17, SUMMARY_BLOCK + 1, 300] {
+            let mut cases = vec![vec![0.0; n], vec![-0.0; n]];
+            for at in [0, 1, n / 2, n - 1].into_iter().filter(|&at| at < n) {
+                for (z, other) in [(-0.0, 0.0), (0.0, -0.0)] {
+                    let mut v = vec![other; n];
+                    v[at] = z;
+                    cases.push(v);
+                }
+            }
+            for _ in 0..8 {
+                cases.push(
+                    (0..n)
+                        .map(|_| if rng.next_f64() < 0.5 { 0.0 } else { -0.0 })
+                        .collect(),
+                );
+            }
+            let with_nans: Vec<Vec<f64>> = cases
+                .iter()
+                .map(|v| {
+                    v.iter()
+                        .enumerate()
+                        .map(|(i, &z)| if i % 3 == 1 { f64::NAN } else { z })
+                        .collect()
+                })
+                .collect();
+            cases.extend(with_nans);
+            // Zeros beside a nonzero extreme: its sign does not matter.
+            for v in cases.clone() {
+                let mut w = v.clone();
+                w[n / 2] = 1.5;
+                cases.push(w);
+                let mut w = v;
+                w[n - 1] = -2.0;
+                cases.push(w);
+            }
+            for phases in &cases {
+                assert_policy_is_the_walk(phases);
+                assert_eq!(
+                    bits(phase_summary(phases, Accuracy::Exact)),
+                    bits(oracle(phases))
+                );
+            }
+        }
+    }
+
+    /// The first phase has no predecessor: a non-finite one enters the
+    /// first gap, never a gap with itself.
+    #[test]
+    fn phase_summary_policy_non_finite_first_phase() {
+        for first in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for n in [1, 2, 5, SUMMARY_BLOCK + 3] {
+                let mut phases: Vec<f64> = (0..n).map(|i| 0.25 * i as f64).collect();
+                phases[0] = first;
+                assert_policy_matches_oracle(&phases);
+                let got = phase_summary(&phases, Accuracy::Policy);
+                if n > 1 && !first.is_nan() {
+                    assert_eq!(got.mean_gap, f64::INFINITY, "first = {first}, n = {n}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -303,11 +421,11 @@ mod tests {
                 bits(oracle(&phases))
             );
             // Phases beyond the polynomial's argument limit take the
-            // `libm` fallback element by element, wherever they sit.
-            for (k, far) in [3e6, -2.5e7, 1e300].into_iter().enumerate() {
-                phases[(k * 37) % n] = far;
+            // `libm` fallback element by element, wherever they sit: in
+            // the first, a middle and the last block, the rest near.
+            for (at, far) in [(0, 3e6), (37, 1e300), (n / 2, -2.5e7), (n - 1, 1e6 + 0.5)] {
+                phases[at % n] = far;
             }
-            phases[n - 1] = 1e6 + 0.5;
             assert_policy_matches_oracle(&phases);
         }
     }
